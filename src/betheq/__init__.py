@@ -27,7 +27,7 @@ from .conjectures import (
     verify_twisted_product,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Cyclo",

@@ -9,9 +9,8 @@ All tolerances are relative to the working precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations, product
 
 import mpmath
 from mpmath import mp
@@ -32,8 +31,6 @@ __all__ = [
     "reflecting_double_product",
 ]
 
-PERM_SUM_MAX_N = 8
-OPEN_COMPONENT_MAX_N = 5
 GUARD_BITS = 64
 
 
@@ -50,14 +47,18 @@ def _qphase():
     return mp.expjpi(mp.mpf(1) / 3)
 
 
+def _z(w, q):
+    """z = (q - w)/(q w - 1) at the caller's working precision."""
+    return (q - w) / (q * w - 1)
+
+
 def to_z(w, prec: int = 53):
     """Variable change z = (q - w)/(q w - 1); pole at w = 1/q."""
     with mp.workprec(prec):
         q = _qphase()
-        den = q * w - 1
-        if den == 0:
+        if q * w - 1 == 0:
             raise ZeroDivisionError("w = 1/q is a pole of the variable change")
-        return (q - w) / den
+        return _z(w, q)
 
 
 def to_w(z, prec: int = 53):
@@ -206,16 +207,7 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
             wt_roots=wt,
             residual=None,
         )
-        res = bethe_residual(rs)
-    return RootSet(
-        boundary=rs.boundary,
-        n=rs.n,
-        L=rs.L,
-        precision=precision,
-        roots=roots,
-        wt_roots=wt,
-        residual=res,
-    )
+        return replace(rs, residual=bethe_residual(rs))
 
 
 def bethe_residual(rs: RootSet):
@@ -233,7 +225,7 @@ def bethe_residual(rs: RootSet):
             twist = q ** (-2) if rs.boundary is Boundary.TWISTED else 1
             sign = (-1) ** (n - 1)
             for wi in ws:
-                z = (q - wi) / (q * wi - 1)
+                z = _z(wi, q)
                 prod_term = mp.mpc(1)
                 for wj in ws:
                     prod_term *= (q2 * wj - wi) / (q2 * wi - wj)
@@ -242,7 +234,7 @@ def bethe_residual(rs: RootSet):
         ws = rs.bethe_roots
         q2 = q * q
         for i, wi in enumerate(ws):
-            z = (q - wi) / (q * wi - 1)
+            z = _z(wi, q)
             prod_term = mp.mpc(1)
             for j, wj in enumerate(ws):
                 if j == i:
@@ -263,31 +255,55 @@ def energy(rs: RootSet):
         lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
         e = -lfac * delta / 2
         for wi in rs.bethe_roots:
-            z = (q - wi) / (q * wi - 1)
+            z = _z(wi, q)
             e -= z + 1 / z - 2 * delta
         return e
 
 
+def _ordered_sum(n: int, pair, slot, signs=(1,)):
+    """Sum over orderings x_0..x_{n-1} of the roots 0..n-1, each root also
+    carrying a sign s_k in signs, of
+    prod_k slot(k, x_k, s_k) * prod_{a<b} pair((x_a, s_a), (x_b, s_b)).
+
+    Dynamic programme over the set S of placed (root, sign) pairs (Held and
+    Karp, J. SIAM 10, 1962): placing v at slot |S| multiplies by
+    slot(|S|, v) and by pair(u, v) for every placed u.  It visits
+    (len(signs) + 1)^n states instead of len(signs)^n n! orderings.
+    """
+    nodes = [(x, s) for x in range(n) for s in signs]
+    pairs = {(u, v): pair(u, v) for u in nodes for v in nodes if u[0] != v[0]}
+    slots = {(k, v): slot(k, *v) for k in range(n) for v in nodes}
+    # a state holds the sign of each placed root and 0 for unplaced ones
+    layer = {(0,) * n: mp.mpc(1)}
+    for k in range(n):
+        nxt = {}
+        for state, acc in layer.items():
+            placed = [(u, s) for u, s in enumerate(state) if s]
+            for v in nodes:
+                x, s = v
+                if state[x]:
+                    continue
+                term = acc * slots[k, v]
+                for u in placed:
+                    term *= pairs[u, v]
+                key = state[:x] + (s,) + state[x + 1 :]
+                nxt[key] = nxt.get(key, 0) + term
+        layer = nxt
+    return sum(layer.values(), mp.mpc(0))
+
+
 def _perm_sum(rs: RootSet, amp_power: int):
-    if rs.n > PERM_SUM_MAX_N:
-        raise ValueError(f"permutation sum guarded at n <= {PERM_SUM_MAX_N}")
     with mp.workprec(rs.precision + GUARD_BITS):
         q = _qphase()
-        qinv = 1 / q
         q2 = q * q
-        ws = list(rs.bethe_roots)
+        ws = rs.bethe_roots
         n = len(ws)
-        amp = [(qinv * ((q * w - 1) / (q - w)) ** amp_power) for w in ws]
-        total = mp.mpc(0)
-        for perm in permutations(range(n)):
-            term = mp.mpc(1)
-            for a in range(n):
-                wa = ws[perm[a]]
-                for b in range(a + 1, n):
-                    wb = ws[perm[b]]
-                    term *= amp[perm[a]] * (wa - q2 * wb) / (wb - wa)
-            total += term
-        return total
+        amp = [1 / (q * _z(w, q) ** amp_power) for w in ws]
+        return _ordered_sum(
+            n,
+            lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[v[0]] - ws[u[0]]),
+            lambda k, x, s: amp[x] ** (n - 1 - k),
+        )
 
 
 def component_sum_small(rs: RootSet):
@@ -306,8 +322,10 @@ def wavefunction_component(rs: RootSet, positions):
     """Bethe wavefunction component psi(x_1..x_n) for strictly increasing
     site positions (1-based).
 
-    Closed chains sum n! plain-amplitude terms; the reflecting chain sums
-    2^n n! terms over permutations and signs, guarded at n <= 5.
+    Closed chains sum plain amplitudes over the n! orderings of the roots;
+    the reflecting chain sums over orderings and a sign per root (2^n n!
+    terms).  Both go through the ordered-sum dynamic programme, in 2^n and
+    3^n states respectively.
     """
     positions = list(positions)
     n = rs.n
@@ -320,45 +338,27 @@ def wavefunction_component(rs: RootSet, positions):
     with mp.workprec(rs.precision + GUARD_BITS):
         q = _qphase()
         q2 = q * q
-        ws = list(rs.bethe_roots)
-        zs = [(q - w) / (q * w - 1) for w in ws]
+        ws = rs.bethe_roots
+        zs = [_z(w, q) for w in ws]
         if rs.boundary is not Boundary.REFLECTING:
-            if n > PERM_SUM_MAX_N:
-                raise ValueError(f"guarded at n <= {PERM_SUM_MAX_N}")
-            total = mp.mpc(0)
-            for perm in permutations(range(n)):
-                term = mp.mpc(1)
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        wa, wb = ws[perm[a]], ws[perm[b]]
-                        term *= (wa - q2 * wb) / (wa - wb)
-                for j in range(n):
-                    term *= zs[perm[j]] ** positions[j]
-                total += term
-            return total
-        if n > OPEN_COMPONENT_MAX_N:
-            raise ValueError(f"guarded at n <= {OPEN_COMPONENT_MAX_N}")
+            return _ordered_sum(
+                n,
+                lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[u[0]] - ws[v[0]]),
+                lambda k, x, s: zs[x] ** positions[k],
+            )
         L = rs.L
-        total = mp.mpc(0)
-        for perm in permutations(range(n)):
-            for sigma in product((1, -1), repeat=n):
-                term = mp.mpc(1)
-                for i in range(n):
-                    z = zs[perm[i]] ** sigma[i]
-                    term *= z ** (-L) * (1 + q / z) / (z - 1 / z)
-                for i in range(n):
-                    for l in range(i + 1, n):
-                        wi = ws[perm[i]] ** sigma[i]
-                        wl = ws[perm[l]] ** sigma[l]
-                        num = (q2 / wi - 1 / wl) * (q2 - wi * wl)
-                        den = (ws[perm[i]] - ws[perm[l]]) * (
-                            1 - 1 / (ws[perm[i]] * ws[perm[l]])
-                        )
-                        term *= num / den
-                for j in range(n):
-                    term *= zs[perm[j]] ** (sigma[j] * positions[j])
-                total += term
-        return total
+
+        def slot(k, x, s):
+            z = zs[x] ** s
+            return z ** (positions[k] - L) * (1 + q / z) / (z - 1 / z)
+
+        def pair(u, v):
+            (a, s), (b, t) = u, v
+            wa, wb = ws[a] ** s, ws[b] ** t
+            num = (q2 / wa - 1 / wb) * (q2 - wa * wb)
+            return num / ((ws[a] - ws[b]) * (1 - 1 / (ws[a] * ws[b])))
+
+        return _ordered_sum(n, pair, slot, signs=(1, -1))
 
 
 def reflecting_double_product(rs: RootSet):
@@ -373,7 +373,7 @@ def reflecting_double_product(rs: RootSet):
     with mp.workprec(rs.precision + GUARD_BITS):
         q = _qphase()
         m = 2 * rs.n
-        zs = [(q - w) / (q * w - 1) for w in rs.roots]
+        zs = [_z(w, q) for w in rs.roots]
         total = mp.mpc(1)
         for i in range(m):
             for j in range(m):

@@ -90,45 +90,44 @@ def _cmd_asm(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(name: str, n: int, precision: int):
-    if name == "conj":
-        return conjectures.verify_periodic_product(n)
-    if name == "conj1":
-        return conjectures.verify_twisted_product(n)
-    if name == "conj2":
-        return conjectures.verify_reflecting_product(n, precision)
-    if name == "sums":
-        return conjectures.verify_component_sums(n, precision)
-    if name == "recursion":
-        ok = qfunctions.check_recursion_periodic(n)
-        return conjectures.VerificationReport(
-            conjecture="recursion", n=n, lhs="poly", rhs="poly",
-            equal=ok, method="exact")
-    if name in ("hyp1", "hyp2"):
-        which = 1 if name == "hyp1" else 2
+def _recursion(n: int, precision: int):
+    return conjectures.VerificationReport(
+        conjecture="recursion", n=n, lhs="poly", rhs="poly",
+        equal=qfunctions.check_recursion_periodic(n), method="exact")
+
+
+def _hyp(which: int):
+    def verify(n: int, precision: int):
         failures = qfunctions.hyp_failures(which, n)
         return conjectures.VerificationReport(
-            conjecture=name, n=n,
+            conjecture=f"hyp{which}", n=n,
             lhs=[list(f) for f in failures], rhs=[],
             equal=not failures, method="exact")
-    raise ValueError(name)
+    return verify
+
+
+# name -> callable(n, precision); 'verify all' runs them in this order
+VERIFIERS = {
+    "conj": lambda n, precision: conjectures.verify_periodic_product(n),
+    "conj1": lambda n, precision: conjectures.verify_twisted_product(n),
+    "conj2": lambda n, precision: conjectures.verify_reflecting_product(n, precision),
+    "sums": lambda n, precision: conjectures.verify_component_sums(n, precision),
+    "recursion": _recursion,
+    "hyp1": _hyp(1),
+    "hyp2": _hyp(2),
+}
 
 
 def _cmd_verify(args) -> int:
-    precision = args.precision
-    names = (["conj", "conj1", "conj2", "sums", "recursion", "hyp1", "hyp2"]
-             if args.which == "all" else [args.which])
+    if args.which == "all":
+        names, ns = list(VERIFIERS), range(1, args.max_n + 1)
+    else:
+        names, ns = [args.which], [args.n]
     reports = []
     all_ok = True
     for name in names:
-        if args.which == "all":
-            caps = {"conj": 8, "conj1": 7, "conj2": 4, "sums": 6,
-                    "recursion": args.max_n, "hyp1": args.max_n, "hyp2": args.max_n}
-            ns = range(1, min(args.max_n, caps[name]) + 1)
-        else:
-            ns = [args.n]
         for n in ns:
-            rep = _verify_one(name, n, precision)
+            rep = VERIFIERS[name](n, args.precision)
             reports.append(rep)
             all_ok = all_ok and rep.equal
     if len(reports) == 1:
@@ -197,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "csv", "pretty"],
                         default="json", help="output format")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized suites (reserved; output is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("qpoly", help="exact e-values of a groundstate Q-polynomial")
@@ -213,8 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_asm)
 
     p = sub.add_parser("verify", help="verify one identity (or the whole suite)")
-    p.add_argument("which", choices=["conj", "conj1", "conj2", "sums",
-                                     "recursion", "hyp1", "hyp2", "all"])
+    p.add_argument("which", choices=[*VERIFIERS, "all"])
     p.add_argument("--n", type=int)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)

@@ -168,8 +168,8 @@ def verify_reflecting_product(n: int, precision: int = 256) -> VerificationRepor
 def verify_component_sums(n: int, precision: int = 256) -> VerificationReport:
     """The two permutation sums over the periodic groundstate roots equal
     A_n and A_n^2 (smallest and largest wavefunction component)."""
-    if not 1 <= n <= bethe.PERM_SUM_MAX_N:
-        raise ValueError(f"n must be in 1..{bethe.PERM_SUM_MAX_N}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rs = bethe.solve_roots(elem_periodic(n), precision)
     with mp.workprec(precision + bethe.GUARD_BITS):
         small = bethe.component_sum_small(rs)

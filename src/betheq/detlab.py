@@ -222,7 +222,7 @@ def lambda_det_asm_sum(m, lam):
     one_plus = 1 + _invert(lam)
     total = 0
     for asm in asm_enumerate(n):
-        term = _power(lam, asm.inversion_number) * _power(one_plus, asm.num_neg)
+        term = lam**asm.inversion_number * one_plus**asm.num_neg
         for i in range(n):
             for j in range(n):
                 a = asm.entries[i][j]
@@ -240,10 +240,3 @@ def _invert(x):
     if isinstance(x, int):
         return Fraction(1, x)
     return 1 / x
-
-
-def _power(x, k):
-    out = 1
-    for _ in range(k):
-        out = out * x
-    return out

@@ -133,7 +133,6 @@ def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
             break
         else:
             raise ArithmeticError("could not factor H - shift")
-    k = int(np.argmin(np.abs(vec[np.abs(vec) > 0])))
     nz = np.flatnonzero(np.abs(vec) > 0)
     smallest = nz[np.argmin(np.abs(vec[nz]))]
     vec = vec / vec[smallest]

@@ -10,8 +10,6 @@ e-values that are known without knowing the variables themselves.
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .detlab import det_exact
 
 __all__ = [
@@ -272,14 +270,22 @@ def monomial_sym(p: Partition, variables):
     if len(p.parts) > n:
         return 0 * variables[0] if n else 0
     expo = list(p.parts) + [0] * (n - len(p.parts))
-    seen = set()
     total = 0
-    for perm in permutations(expo):
-        if perm in seen:
-            continue
-        seen.add(perm)
+    for perm in _orderings(expo):
         term = 1
         for w, k in zip(variables, perm):
             term = term * w**k
         total = total + term
     return total
+
+
+def _orderings(multiset):
+    """Each distinct ordering of a multiset, exactly once."""
+    if not multiset:
+        yield ()
+        return
+    for k in sorted(set(multiset)):
+        rest = list(multiset)
+        rest.remove(k)
+        for tail in _orderings(rest):
+            yield (k,) + tail

@@ -116,7 +116,7 @@ def test_criterion_06_reflecting_product():
 
 def test_criterion_07_component_sums():
     ok = True
-    for n in range(1, 8):
+    for n in range(1, 11):
         rep = verify_component_sums(n, 256)
         a = asm_count(n)
         with mp.workprec(300):
@@ -126,7 +126,7 @@ def test_criterion_07_component_sums():
                 and abs(rep.lhs[0] - a) < mp.mpf(10) ** -20
                 and abs(rep.lhs[1] - a * a) < mp.mpf(10) ** -20 * a
             )
-    verdict(7, "component sums equal A_n and A_n^2 to 1e-20 at 256 bits for n <= 7", ok)
+    verdict(7, "component sums equal A_n and A_n^2 to 1e-20 at 256 bits for n <= 10", ok)
 
 
 def test_criterion_08_bethe_residuals():

@@ -1,6 +1,8 @@
 """High-precision root extraction, certification and root-based sums."""
 
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from mpmath import mp
@@ -132,11 +134,45 @@ class TestComponentSums:
         val = component_sum_large(rs)
         assert abs(val - asm_count(n) ** 2) < mp.mpf(10) ** -20
 
-    def test_guard(self):
-        rs = solve_roots(elem_periodic(2), PREC)
-        object.__setattr__(rs, "n", bethe.PERM_SUM_MAX_N + 1)
-        with pytest.raises(ValueError):
-            component_sum_small(rs)
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_sums_at_larger_n(self, n):
+        rs = solve_roots(elem_periodic(n), PREC)
+        a = asm_count(n)
+        assert abs(component_sum_small(rs) - a) < mp.mpf(10) ** -20 * a
+        assert abs(component_sum_large(rs) - a * a) < mp.mpf(10) ** -20 * a * a
+
+
+class TestOrderedSum:
+    """The subset dynamic programme against direct enumeration of every
+    ordering (and every sign choice)."""
+
+    @pytest.mark.parametrize("signs", [(1,), (1, -1)])
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_enumeration(self, n, signs):
+        rng = random.Random(100 * n + len(signs))
+
+        def rand():
+            return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        nodes = [(x, s) for x in range(n) for s in signs]
+        pair = {(u, v): rand() for u in nodes for v in nodes}
+        slot = {(k, x, s): rand() for k in range(n) for x, s in nodes}
+        with mp.workprec(PREC):
+            want = mp.mpc(0)
+            for perm in permutations(range(n)):
+                for sigma in product(signs, repeat=n):
+                    term = mp.mpc(1)
+                    for k in range(n):
+                        term *= slot[k, perm[k], sigma[k]]
+                        for b in range(k + 1, n):
+                            term *= pair[(perm[k], sigma[k]), (perm[b], sigma[b])]
+                    want += term
+            got = bethe._ordered_sum(
+                n, lambda u, v: pair[u, v], lambda k, x, s: slot[k, x, s], signs
+            )
+            assert abs(got - want) < TOL * max(1, abs(want))
+        if n == 0:
+            assert got == 1
 
 
 class TestWavefunction:

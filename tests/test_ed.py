@@ -120,6 +120,7 @@ class TestWavefunctionMatch:
             (Boundary.TWISTED, 4),
             (Boundary.REFLECTING, 4),
             (Boundary.REFLECTING, 6),
+            (Boundary.REFLECTING, 8),
         ],
     )
     def test_vector_proportional_to_bethe_components(self, boundary, L):
