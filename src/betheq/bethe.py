@@ -5,6 +5,11 @@ iteration at a stated binary precision, polished with Newton steps, and
 certified three ways: coefficient reconstruction, Bethe-equation
 residuals, and (downstream) comparison against exact diagonalization.
 All tolerances are relative to the working precision.
+
+Each root stops moving once its relative step is below 2^(4 - precision)
+or its value |p(x)| is within the rounding bound of Horner's rule, so the
+iteration ends at the rounding floor instead of running into its
+iteration cap there.
 """
 
 from __future__ import annotations
@@ -35,7 +40,20 @@ GUARD_BITS = 64
 
 
 class NonConvergenceError(ArithmeticError):
-    """Root iteration failed to converge; carries diagnostics."""
+    """Root iteration failed to converge.
+
+    Carries the polynomial degree, the requested precision (bits), the
+    Aberth iterations run and the failing correction: the worst relative
+    step when the iteration cap is hit, or the coefficient reconstruction
+    error when the roots fail that check.
+    """
+
+    def __init__(self, message, *, degree, precision, iterations, correction):
+        super().__init__(message)
+        self.degree = degree
+        self.precision = precision
+        self.iterations = iterations
+        self.correction = correction
 
 
 def _mpf_frac(x: Fraction):
@@ -97,54 +115,78 @@ class RootSet:
 
 def _aberth(coeffs, prec: int):
     """All roots of a monic polynomial (exact rational coefficients,
-    lowest degree first) by Aberth-Ehrlich iteration plus Newton polish."""
-    n = len(coeffs) - 1
-    cs = [_mpf_frac(c) for c in coeffs]
+    lowest degree first) by Aberth-Ehrlich iteration plus Newton polish.
 
-    def p_dp(x):
-        p = mp.mpc(0)
-        dp = mp.mpc(0)
-        for c in reversed(cs):
+    Returns the roots and the number of iterations.  Root i stops moving
+    once its relative step falls below 2^(4 - prec), or once |p(x_i)| is
+    within the rounding bound of Horner's rule at the working precision,
+    4 n 2^-mp.prec sum_k |c_k| |x_i|^k (Bini, Numer. Algorithms 13, 1996).
+    A stopped root still enters the Aberth sum of the others; the
+    iteration ends when every root has stopped.
+    """
+    n = len(coeffs) - 1
+    cs = [_mpf_frac(c) for c in reversed(coeffs)]
+    abs_cs = [abs(c) for c in cs]
+    floor = 4 * n * mp.mpf(2) ** -mp.prec
+
+    def horner(x):
+        """p(x), p'(x) and the Horner rounding bound at x, in one pass."""
+        ax = abs(x)
+        p = dp = mp.mpc(0)
+        bound = mp.mpf(0)
+        for c, ac in zip(cs, abs_cs):
             dp = dp * x + p
             p = p * x + c
-        return p, dp
+            bound = bound * ax + ac
+        return p, dp, floor * bound
 
-    radius = max(mp.mpf(1), *(abs(c) for c in cs)) ** (mp.mpf(1) / n)
+    radius = max(mp.mpf(1), *abs_cs) ** (mp.mpf(1) / n)
     roots = [
         radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
         for j in range(n)
     ]
     eps = mp.mpf(2) ** (-prec + 4)
-    for _ in range(64 + 8 * prec // 16):
+    active = range(n)
+    cap = 64 + 8 * prec // 16
+    for iterations in range(1, cap + 1):
         worst = mp.mpf(0)
-        for i in range(n):
-            p, dp = p_dp(roots[i])
+        moving = []
+        for i in active:
+            x = roots[i]
+            p, dp, noise = horner(x)
+            if abs(p) <= noise:
+                continue
             if dp == 0:
-                roots[i] += eps * (1 + roots[i])
+                roots[i] = x + eps * (1 + x)
                 worst = mp.inf
+                moving.append(i)
                 continue
             newton = p / dp
             s = mp.mpc(0)
             for j in range(n):
                 if j != i:
-                    s += 1 / (roots[i] - roots[j])
+                    s += 1 / (x - roots[j])
             denom = 1 - newton * s
             step = newton if denom == 0 else newton / denom
-            roots[i] -= step
-            scale = max(mp.mpf(1), abs(roots[i]))
-            worst = max(worst, abs(step) / scale)
-        if worst < eps:
+            roots[i] = x - step
+            rel = abs(step) / max(mp.mpf(1), abs(roots[i]))
+            worst = max(worst, rel)
+            if rel >= eps:
+                moving.append(i)
+        active = moving
+        if not active:
             break
     else:
         raise NonConvergenceError(
-            f"Aberth iteration stalled at correction {worst} for degree {n}"
+            f"Aberth iteration stalled at correction {worst} for degree {n}",
+            degree=n, precision=prec, iterations=cap, correction=worst,
         )
     for _ in range(3):
         for i in range(n):
-            p, dp = p_dp(roots[i])
+            p, dp, _ = horner(roots[i])
             if dp != 0:
                 roots[i] -= p / dp
-    return roots
+    return roots, iterations
 
 
 def _reconstruct_error(coeffs, roots):
@@ -170,6 +212,10 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
 
     The polynomial rebuilt from the roots must match the exact
     coefficients to 2^(20-precision) relative, else NonConvergenceError.
+    Iteration and reconstruction run with ceil(log2 max|c_k|) bits beyond
+    precision + GUARD_BITS, so that rounding in the large coefficients
+    does not eat into that bound; the returned roots are rounded to
+    precision + GUARD_BITS.
     For the reflecting boundary the wt-roots are split through
     w^2 - wt*w + 1 = 0, keeping the branch with |w| >= 1 (tie: positive
     imaginary part); the mirror branch is stored as the exact reciprocal.
@@ -177,27 +223,32 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     if precision < 64:
         raise ValueError("precision must be at least 64 bits")
     n = qp.n
-    with mp.workprec(precision + GUARD_BITS):
-        coeffs = list(qp.poly().coeffs)
-        roots = _aberth(coeffs, precision) if n > 0 else []
+    coeffs = list(qp.poly().coeffs)
+    top = max(abs(c) for c in coeffs)
+    # ceil(log2 top): the bit length of ceil(top) - 1 (top >= 1, monic)
+    extra = (-(-top.numerator // top.denominator) - 1).bit_length()
+    with mp.workprec(precision + GUARD_BITS + extra):
+        roots, iterations = _aberth(coeffs, precision) if n > 0 else ([], 0)
         err = _reconstruct_error(coeffs, roots) if n > 0 else mp.mpf(0)
         tol = mp.mpf(2) ** (20 - precision)
         if err > tol:
             raise NonConvergenceError(
-                f"coefficient reconstruction error {err} exceeds {tol}"
+                f"coefficient reconstruction error {err} exceeds {tol}",
+                degree=n, precision=precision, iterations=iterations, correction=err,
             )
+        wt = None
         if qp.boundary is Boundary.REFLECTING:
-            wt = tuple(roots)
-            split = []
+            wt, roots = roots, []
             for t in wt:
                 disc = mp.sqrt(t * t - 4)
                 cands = [(t + disc) / 2, (t - disc) / 2]
                 cands.sort(key=lambda w: (abs(w), mp.im(w)), reverse=True)
-                split.append(cands[0])
-            roots = tuple(split) + tuple(1 / w for w in split)
-        else:
-            wt = None
-            roots = tuple(roots)
+                roots.append(cands[0])
+    with mp.workprec(precision + GUARD_BITS):
+        roots = tuple(+w for w in roots)
+        if wt is not None:
+            wt = tuple(+t for t in wt)
+            roots += tuple(1 / w for w in roots)
         rs = RootSet(
             boundary=qp.boundary,
             n=n,

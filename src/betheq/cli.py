@@ -118,23 +118,47 @@ VERIFIERS = {
 }
 
 
+def _nonconvergence_json(name: str, n: int, exc: bethe.NonConvergenceError) -> dict:
+    """A report entry for an identity whose roots did not converge."""
+    return {
+        "conjecture": name,
+        "n": n,
+        "equal": False,
+        "error": str(exc),
+        "degree": exc.degree,
+        "precision_bits": exc.precision,
+        "iterations": exc.iterations,
+        "correction": mpmath.nstr(exc.correction, 8),
+    }
+
+
 def _cmd_verify(args) -> int:
+    """Run each requested report; a report whose roots do not converge
+    becomes an unequal entry with the error's fields, the others still
+    run, and the exit code is then EXIT_NUMERIC."""
     if args.which == "all":
         names, ns = list(VERIFIERS), range(1, args.max_n + 1)
     else:
         names, ns = [args.which], [args.n]
-    reports = []
+    entries = []
     all_ok = True
+    numeric_error = False
     for name in names:
         for n in ns:
-            rep = VERIFIERS[name](n, args.precision)
-            reports.append(rep)
-            all_ok = all_ok and rep.equal
-    if len(reports) == 1:
-        _emit(reports[0].to_json(), args.format)
+            try:
+                entry = VERIFIERS[name](n, args.precision).to_json()
+            except bethe.NonConvergenceError as exc:
+                print(f"error: {name} n={n}: {exc}", file=sys.stderr)
+                entry = _nonconvergence_json(name, n, exc)
+                numeric_error = True
+            entries.append(entry)
+            all_ok = all_ok and entry["equal"]
+    if len(entries) == 1:
+        _emit(entries[0], args.format)
     else:
-        _emit({"reports": [r.to_json() for r in reports], "equal": all_ok},
-              args.format)
+        _emit({"reports": entries, "equal": all_ok}, args.format)
+    if numeric_error:
+        return EXIT_NUMERIC
     return EXIT_OK if all_ok else EXIT_FAIL
 
 

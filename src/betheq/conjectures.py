@@ -50,21 +50,26 @@ class VerificationReport:
             "conjecture": self.conjecture,
             "n": self.n,
             "method": self.method,
-            "lhs": _value_json(self.lhs),
-            "rhs": _value_json(self.rhs),
+            "lhs": _value_json(self.lhs, self.tolerance),
+            "rhs": _value_json(self.rhs, self.tolerance),
             "equal": self.equal,
             "precision_bits": self.precision_bits,
             "tolerance": None if self.tolerance is None else mpmath.nstr(self.tolerance, 8),
         }
 
 
-def _value_json(v):
+def _value_json(v, tolerance):
+    """Exact values as strings; a numeric value to 30 digits, printed as
+    its real part alone when its imaginary part is rounding noise
+    (|im v| <= tolerance |v|)."""
     if isinstance(v, (tuple, list)):
-        return [_value_json(x) for x in v]
+        return [_value_json(x, tolerance) for x in v]
     if isinstance(v, Cyclo):
         return v.to_json()
     if isinstance(v, (int, Fraction)):
         return rat_to_str(v)
+    if isinstance(v, mpmath.mpc) and tolerance is not None and abs(v.imag) <= tolerance * abs(v):
+        v = v.real
     if isinstance(v, (mpmath.mpf, mpmath.mpc)):
         return mpmath.nstr(v, 30)
     return str(v)

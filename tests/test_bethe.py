@@ -19,6 +19,7 @@ from betheq.bethe import (
     to_z,
     wavefunction_component,
 )
+from betheq.conjectures import verify_reflecting_product
 from betheq.qfunctions import (
     Boundary,
     elem_for,
@@ -81,6 +82,61 @@ class TestSolveRoots:
         # Q_1(w) = w - 1 for the periodic chain
         rs = solve_roots(elem_periodic(1), PREC)
         assert abs(rs.roots[0] - 1) < TOL
+
+
+class TestAberthStoppingRule:
+    @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 6), (Boundary.REFLECTING, 5)])
+    def test_stops_at_rounding_floor(self, boundary, n):
+        # At 192 working bits no relative step can fall below 2^(4 - 256),
+        # so only the rounding-floor rule can end the iteration.
+        qp = elem_for(boundary, n)
+        coeffs = list(qp.poly().coeffs)
+        with mp.workprec(192):
+            roots, iterations = bethe._aberth(coeffs, 256)
+        assert iterations < 64 + 8 * 256 // 16
+        rs = solve_roots(qp, 256)
+        want = rs.wt_roots or rs.roots
+        for r in roots:
+            assert min(abs(r - w) for w in want) < mp.mpf(2) ** -170
+
+
+class TestNonConvergence:
+    def test_reconstruction_failure_carries_fields(self, monkeypatch):
+        monkeypatch.setattr(bethe, "_reconstruct_error", lambda coeffs, roots: mp.mpf(1))
+        with pytest.raises(NonConvergenceError) as info:
+            solve_roots(elem_periodic(4), PREC)
+        err = info.value
+        assert "reconstruction error" in str(err)
+        assert err.degree == 4
+        assert err.precision == PREC
+        assert err.iterations >= 1
+        assert err.correction == 1
+
+
+class TestStallSizes:
+    """Sizes at which Aberth used to run into its iteration cap at 256
+    bits: each root set must meet the reconstruction bound and Vieta's
+    relations for e_1 and e_n."""
+
+    @pytest.mark.parametrize(
+        "boundary, n",
+        [(Boundary.REFLECTING, 20), (Boundary.REFLECTING, 24), (Boundary.PERIODIC, 36)],
+    )
+    def test_solve_roots(self, boundary, n):
+        qp = elem_for(boundary, n)
+        rs = solve_roots(qp, 256)
+        values = rs.wt_roots if boundary is Boundary.REFLECTING else rs.roots
+        assert len(values) == n
+        with mp.workprec(512):
+            tol = mp.mpf(2) ** (20 - 256)
+            assert bethe._reconstruct_error(list(qp.poly().coeffs), values) <= tol
+            for got, want in ((mp.fsum(values), qp.evalues[1]),
+                              (mp.fprod(values), qp.evalues[n])):
+                want = mp.mpf(want.numerator) / want.denominator
+                assert abs(got - want) <= n * tol * max(1, abs(want))
+
+    def test_reflecting_product_n20(self):
+        assert verify_reflecting_product(20, 256).equal
 
 
 class TestResiduals:

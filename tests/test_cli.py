@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from mpmath import mp
 
-from betheq.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, run
+from betheq import bethe, cli
+from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 
 
 def run_capture(capsys, argv):
@@ -164,3 +166,26 @@ class TestExitCodes:
 
         monkeypatch.setattr(conj, "verify_periodic_product", fake)
         assert run(["verify", "conj", "--n", "2"]) == EXIT_FAIL
+
+    def test_nonconvergence_in_one_report_keeps_the_others(self, capsys, monkeypatch):
+        conj2 = cli.VERIFIERS["conj2"]
+
+        def flaky(n, precision):
+            if n == 2:
+                raise bethe.NonConvergenceError(
+                    "forced", degree=n, precision=precision, iterations=7,
+                    correction=mp.mpf(1))
+            return conj2(n, precision)
+
+        monkeypatch.setitem(cli.VERIFIERS, "conj2", flaky)
+        code, out = run_capture(capsys, ["verify", "all", "--max-n", "2"])
+        assert code == EXIT_NUMERIC
+        data = json.loads(out)
+        assert data["equal"] is False
+        assert len(data["reports"]) == 2 * len(cli.VERIFIERS)
+        failed = [r for r in data["reports"] if not r["equal"]]
+        assert failed == [{
+            "conjecture": "conj2", "n": 2, "equal": False, "error": "forced",
+            "degree": 2, "precision_bits": 256, "iterations": 7,
+            "correction": "1.0",
+        }]

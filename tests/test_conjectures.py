@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from betheq.asmcounts import asm_count, asm_ht, asm_v, n8
 from betheq.conjectures import (
@@ -100,3 +101,17 @@ class TestReportSerialization:
         d = verify_twisted_product(2).to_json()
         json.dumps(d)
         assert d["lhs"] == {"a": "6", "b": "-6"}
+
+    def test_imaginary_rounding_noise_is_dropped(self):
+        tol = mp.mpf(2) ** (40 - 256)
+
+        def lhs_json(lhs):
+            return VerificationReport(
+                conjecture="conj2", n=1, lhs=lhs, rhs=mp.mpf(144), equal=True,
+                method="numeric", precision_bits=256, tolerance=tol,
+            ).to_json()["lhs"]
+
+        a = lhs_json(mp.mpc(144, mp.mpf("9.36e-97")))
+        b = lhs_json(mp.mpc(144, mp.mpf("-3.5e-92")))
+        assert a == b == "144.0"
+        assert lhs_json(mp.mpc(144, 1)) != a
