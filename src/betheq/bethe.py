@@ -178,7 +178,7 @@ def _aberth(coeffs, prec: int):
             break
     else:
         raise NonConvergenceError(
-            f"Aberth iteration stalled at correction {worst} for degree {n}",
+            f"Aberth iteration stalled at correction {mpmath.nstr(worst, 8)} for degree {n}",
             degree=n, precision=prec, iterations=cap, correction=worst,
         )
     for _ in range(3):
@@ -233,7 +233,8 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
         tol = mp.mpf(2) ** (20 - precision)
         if err > tol:
             raise NonConvergenceError(
-                f"coefficient reconstruction error {err} exceeds {tol}",
+                f"coefficient reconstruction error {mpmath.nstr(err, 8)}"
+                f" exceeds {mpmath.nstr(tol, 8)}",
                 degree=n, precision=precision, iterations=iterations, correction=err,
             )
         wt = None

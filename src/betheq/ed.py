@@ -21,7 +21,7 @@ __all__ = [
     "default_sector",
 ]
 
-MAX_L = 16
+MAX_L = 14  # largest L measured to work; see build_hamiltonian
 DELTA = -0.5
 TWIST_PHI = np.pi / 3
 # +- (q - 1/q)/4 = +- i sqrt(3)/4; the sign is pinned by matching the Bethe
@@ -59,6 +59,12 @@ def build_hamiltonian(L: int, boundary, n: int | None = None):
 
     Returns (basis, H) with H complex; twisted and reflecting H are
     non-Hermitian but have real spectra.
+
+    L is capped at MAX_L by memory: each dense complex sector array
+    takes dim^2 * 16 bytes with dim = C(L, n), and groundstate holds about
+    four of them at once (H, H - shift, its inverse and the shifted
+    identity).  That is about 0.75 GB at L = 14 (dim 3432), 2.6 GB at
+    L = 15 and 10.6 GB at L = 16.
     """
     boundary = Boundary(boundary)
     if L > MAX_L:

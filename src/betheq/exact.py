@@ -52,9 +52,9 @@ def gen_binom(a, k: int) -> Fraction:
     k < 0 gives 0.  For integer a the value is the standard binomial when
     a >= k and 0 otherwise, including negative a.  For non-integer rational
     a the falling-factorial product is used.  The truncation for negative
-    integer tops is the convention under which the closed-form coefficient
-    sums in :mod:`betheq.qfunctions` come out right; see the n=1 twisted
-    root w = 1/2.
+    integer tops is the convention under which the paper's closed-form
+    e-value sums come out right (kept as the reference formulas in
+    ``tests/test_qfunctions.py``); see the n=1 twisted root w = 1/2.
     """
     if k < 0:
         return Fraction(0)

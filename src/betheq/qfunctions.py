@@ -3,19 +3,32 @@
 For each boundary condition (periodic with L = 2n+1, twisted by pi/3 with
 L = 2n, reflecting with L = 2n) the groundstate Bethe roots are the zeros
 of a polynomial Q_n whose coefficients are, up to sign, elementary
-symmetric function values.  This module builds those coefficient lists
-exactly from closed-form binomial sums, evaluates the equivalent closed
-rational forms, and verifies the recursion, special values and the
+symmetric function values.  Each boundary has a closed rational form for
+Q_n: a sum of binomially weighted powers of w over a power of (1 + w), or,
+for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  One kernel
+builds all three coefficient lists by dividing that numerator exactly by
+the denominator, so a wrong term leaves a remainder and raises instead of
+giving a wrong polynomial.  The module also evaluates the rational forms
+at exact points and verifies the recursion, special values and the
 binomial summation identities behind the closed forms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import QINV, Cyclo, Poly, falling_binom, gen_binom
+from .exact import (
+    QINV,
+    Cyclo,
+    ExactDivisionError,
+    Poly,
+    falling_binom,
+    gen_binom,
+    poly_div_exact,
+)
 
 __all__ = [
     "Boundary",
@@ -79,111 +92,83 @@ class QPolynomial:
         return self.poly()(w)
 
 
+def _rational_form(boundary: Boundary, n: int):
+    """The closed rational form of Q_n as (terms, base, power, c).
+
+    For the periodic and twisted boundaries
+        Q_n(w) = sum_(a, j) a w^j / ((base + w)^power c),
+    and for the reflecting boundary, with wt = w + 1/w,
+        Q_n(wt) = sum_(a, j) a (w^j - w^-j) / ((w - 1/w) (base + wt)^power c).
+    """
+    third = Fraction(1, 3)
+    terms = []
+    if boundary is Boundary.PERIODIC:
+        for k in range(n + 1):
+            a = (-1) ** k * gen_binom(n - third, k) * gen_binom(n + third, n - k)
+            terms += [((-1) ** n * a, 3 * k + 1), (a, 3 * n - 3 * k)]
+        return terms, 1, 2 * n + 1, gen_binom(n - third, n)
+    if boundary is Boundary.TWISTED:
+        for k in range(n + 1):
+            a = (-1) ** k * gen_binom(n - 2 * third, n - k)
+            terms += [
+                ((-1) ** n * a * gen_binom(n - third, k), 3 * k),
+                (-a * gen_binom(n - third, k - 1), 3 * n - 3 * k + 2),
+            ]
+        return terms, 1, 2 * n, gen_binom(n - third, n)
+    up, down = 2 * n + 2 * third, 2 * n - 2 * third
+    for k in range(n + 1):
+        sgn = (-1) ** (n + k)
+        terms.append((sgn * gen_binom(up, n - k) * gen_binom(down, n + k), 3 * k + 1))
+        if k:
+            terms.append((sgn * gen_binom(up, n + k) * gen_binom(down, n - k), 1 - 3 * k))
+    return terms, 2, 2 * n, gen_binom(down, 2 * n)
+
+
+def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
+    """Q_n as the exact quotient of its closed rational form.
+
+    The numerator is divided by (base + x)^power, x = w or wt, and then by
+    c.  A remainder raises ExactDivisionError, and so does a quotient that
+    is not monic of degree n, so a wrong term in the form cannot return a
+    wrong polynomial.
+    """
+    terms, base, power, c = _rational_form(boundary, n)
+    num = [Fraction(0)] * (max(abs(j) for _, j in terms) + 1)
+    for a, j in terms:
+        if boundary is Boundary.REFLECTING:
+            # (w^j - w^-j) / (w - 1/w) is odd in j and a polynomial in wt
+            for i, u in enumerate(chebyshev_expand(abs(j) - 1).coeffs):
+                num[i] += a * u if j > 0 else -a * u
+        else:
+            num[j] += a
+    den = Poly([math.comb(power, i) * base ** (power - i) for i in range(power + 1)])
+    quot = poly_div_exact(Poly(num), den).scale(1 / c)
+    if quot.degree != n or quot[n] != 1:
+        raise ExactDivisionError(
+            f"{boundary.value} Q_{n} rational form: quotient is not monic of degree {n}"
+        )
+    return QPolynomial(boundary, n, tuple((-1) ** l * quot[n - l] for l in range(n + 1)))
+
+
 def elem_periodic(n: int) -> QPolynomial:
     """Exact e-values at the periodic groundstate roots (L = 2n+1)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return QPolynomial(Boundary.PERIODIC, 0, (Fraction(1),))
-    c = gen_binom(n - Fraction(1, 3), n)
-    third = Fraction(1, 3)
-    ev = []
-    for l in range(n + 1):
-        tot = Fraction(0)
-        for p in range(l // 3 + 1):
-            tot += (
-                gen_binom(2 * n - 3 * p + l, 2 * n)
-                * gen_binom(n - third, n - p)
-                * gen_binom(n + third, p)
-                - gen_binom(2 * n - 3 * p + l - 1, 2 * n)
-                * gen_binom(n - third, p)
-                * gen_binom(n + third, n - p)
-            )
-        ev.append(tot / c)
-    return QPolynomial(Boundary.PERIODIC, n, tuple(ev))
+    return _rational_form_quotient(Boundary.PERIODIC, n)
 
 
 def elem_twisted(n: int) -> QPolynomial:
     """Exact e-values at the twisted (phi = pi/3) groundstate roots (L = 2n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = gen_binom(n - Fraction(1, 3), n)
-    third = Fraction(1, 3)
-    two_thirds = Fraction(2, 3)
-    ev = []
-    for l in range(n + 1):
-        tot = Fraction(0)
-        for p in range(l // 3 + 2):
-            tot += (
-                gen_binom(2 * n - 3 * p + l - 1, 2 * n - 1)
-                * gen_binom(n - third, n - p)
-                * gen_binom(n - two_thirds, p)
-                - gen_binom(2 * n - 3 * p + l + 1, 2 * n - 1)
-                * gen_binom(n - third, p - 1)
-                * gen_binom(n - two_thirds, n - p)
-            )
-        ev.append(tot / c)
-    return QPolynomial(Boundary.TWISTED, n, tuple(ev))
-
-
-def _reflect_weight(n: int, k: int, positive: bool) -> Fraction:
-    """Coefficient of the w^{+-(3k+1)} pair in the reflecting rational form."""
-    if positive:
-        return gen_binom(2 * n + Fraction(2, 3), n - k) * gen_binom(
-            2 * n - Fraction(2, 3), n + k
-        )
-    return gen_binom(2 * n + Fraction(2, 3), n + k) * gen_binom(
-        2 * n - Fraction(2, 3), n - k
-    )
+    return _rational_form_quotient(Boundary.TWISTED, n)
 
 
 def elem_reflecting(n: int) -> QPolynomial:
-    """Exact e-values of wt_1..wt_n at the reflecting groundstate roots.
-
-    Extracted from the closed rational form: each (w^{3k+1} - w^{-3k-1})
-    divided by (w - 1/w) is a Chebyshev-like polynomial
-    sum_a (-1)^a binom(j-a, a) wt^{j-2a} of degree j = 3k (or 3k-2 for the
-    mirrored term), and (2 + wt)^{-2n} expands as a descending series
-    sum_m (-2)^m binom(2n-1+m, 2n-1) wt^{-2n-m}.  Only finitely many
-    (k, a, m) triples land on each nonnegative power of wt, and the
-    negative powers cancel identically since Q_n is a polynomial (checked
-    against exact interpolation of the rational form in the tests).
-    """
+    """Exact e-values of wt_1..wt_n at the reflecting groundstate roots."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = gen_binom(2 * n - Fraction(2, 3), 2 * n)
-    ev = []
-    for p in range(n + 1):
-        tot = Fraction(0)
-        for k in range(n + 1):
-            sgn = (-1) ** (n + k)
-            for a in range(3 * k // 2 + 1):
-                m = p - 2 * a - 3 * (n - k)
-                if m < 0:
-                    continue
-                tot += (
-                    sgn
-                    * _reflect_weight(n, k, True)
-                    * (-1) ** a
-                    * gen_binom(3 * k - a, a)
-                    * Fraction(-2) ** m
-                    * gen_binom(2 * n - 1 + m, 2 * n - 1)
-                )
-            if k >= 1:
-                for a in range((3 * k - 2) // 2 + 1):
-                    m = p - 2 * a - 3 * (n - k) - 2
-                    if m < 0:
-                        continue
-                    tot -= (
-                        sgn
-                        * _reflect_weight(n, k, False)
-                        * (-1) ** a
-                        * gen_binom(3 * k - 2 - a, a)
-                        * Fraction(-2) ** m
-                        * gen_binom(2 * n - 1 + m, 2 * n - 1)
-                    )
-        ev.append((-1) ** p * tot / c)
-    return QPolynomial(Boundary.REFLECTING, n, tuple(ev))
+    return _rational_form_quotient(Boundary.REFLECTING, n)
 
 
 def elem_for(boundary: Boundary, n: int) -> QPolynomial:
@@ -199,49 +184,25 @@ def q_rational_eval(boundary: Boundary, n: int, w):
     """Evaluate the closed rational form of Q_n at an exact point w.
 
     Works over any exact field containing the coefficients (Fraction, or
-    Cyclo for points in Q(q)).  Poles: w = -1 for periodic and twisted;
+    Cyclo for points in Q(q)); an int point is taken as a Fraction, so
+    negative powers stay exact.  Poles: w = -1 for periodic and twisted;
     w in {0, 1, -1} for reflecting.
     """
     boundary = Boundary(boundary)
-    third = Fraction(1, 3)
-    if boundary is Boundary.PERIODIC:
-        den = (1 + w) ** (2 * n + 1)
+    if isinstance(w, int):
+        w = Fraction(w)
+    terms, base, power, c = _rational_form(boundary, n)
+    if boundary is Boundary.REFLECTING:
+        if w == 0 or w == 1 or w == -1:
+            raise ZeroDivisionError("w in {0, 1, -1} is a pole of the reflecting rational form")
+        num = sum(a * (w**j - w**-j) for a, j in terms)
+        den = (w - 1 / w) * (base + w + 1 / w) ** power
+    else:
+        den = (base + w) ** power
         if den == 0:
-            raise ZeroDivisionError("w = -1 is a pole of the periodic rational form")
-        c = gen_binom(n - third, n)
-        tot = 0
-        for k in range(n + 1):
-            coef = (-1) ** k * gen_binom(n - third, k) * gen_binom(n + third, n - k)
-            # w^{3k+1}((-1)^n + w^{3n-6k-1}) expanded so w = 0 is regular
-            tot = tot + coef * ((-1) ** n * w ** (3 * k + 1) + w ** (3 * n - 3 * k))
-        return tot / den / c
-    if boundary is Boundary.TWISTED:
-        den = (1 + w) ** (2 * n)
-        if den == 0:
-            raise ZeroDivisionError("w = -1 is a pole of the twisted rational form")
-        c = gen_binom(n - third, n)
-        two_thirds = Fraction(2, 3)
-        tot = 0
-        for k in range(n + 1):
-            tot = tot + (-1) ** k * gen_binom(n - two_thirds, n - k) * (
-                (-1) ** n * gen_binom(n - third, k) * w ** (3 * k)
-                - gen_binom(n - third, k - 1) * w ** (3 * n - 3 * k + 2)
-            )
-        return tot / den / c
-    # reflecting
-    if w == 0 or w == 1 or w == -1:
-        raise ZeroDivisionError("w in {0, 1, -1} is a pole of the reflecting rational form")
-    c = gen_binom(2 * n - Fraction(2, 3), 2 * n)
-    winv = 1 / w
-    den = (w - winv) * (2 + w + winv) ** (2 * n)
-    tot = 0
-    for k in range(-n, n + 1):
-        tot = tot + (
-            (-1) ** (n + k)
-            * _reflect_weight(n, abs(k), k >= 0)
-            * (w ** (3 * k + 1) - w ** (-3 * k - 1))
-        )
-    return tot / den / c
+            raise ZeroDivisionError(f"w = -1 is a pole of the {boundary.value} rational form")
+        num = sum(a * w**j for a, j in terms)
+    return num / den / c
 
 
 def check_recursion_periodic(n: int) -> bool:

@@ -112,6 +112,17 @@ class TestNonConvergence:
         assert err.iterations >= 1
         assert err.correction == 1
 
+    def test_message_is_short_and_keeps_the_exponent(self, monkeypatch):
+        # a message cut at 160 characters must still read as 1.04e-40
+        tiny = "1.0379423292751122942761111189117939552395705548131500380e-40"
+        monkeypatch.setattr(bethe, "_reconstruct_error", lambda coeffs, roots: mp.mpf(tiny))
+        with pytest.raises(NonConvergenceError) as info:
+            solve_roots(elem_periodic(4), PREC)
+        message = str(info.value)
+        assert len(message) < 160
+        assert "1.0379423e-40" in message
+        assert "e-52" in message  # the tolerance 2^(20 - 192)
+
 
 class TestStallSizes:
     """Sizes at which Aberth used to run into its iteration cap at 256

@@ -6,7 +6,14 @@ from mpmath import mp
 
 import betheq.bethe as bethe
 from betheq.asmcounts import asm_count
-from betheq.ed import SpinBasis, build_hamiltonian, default_sector, groundstate, rs_observables
+from betheq.ed import (
+    MAX_L,
+    SpinBasis,
+    build_hamiltonian,
+    default_sector,
+    groundstate,
+    rs_observables,
+)
 from betheq.qfunctions import Boundary, elem_for, elem_periodic
 
 PREC = 128
@@ -50,7 +57,7 @@ class TestHamiltonian:
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
-            build_hamiltonian(18, Boundary.PERIODIC)
+            build_hamiltonian(MAX_L + 1, Boundary.PERIODIC)
 
 
 class TestGroundstateObservables:

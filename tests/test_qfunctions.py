@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from betheq.exact import Poly, Q, QINV
+from betheq import qfunctions
+from betheq.exact import ExactDivisionError, Poly, Q, QINV, gen_binom
 from betheq.qfunctions import (
     Boundary,
     QPolynomial,
@@ -36,6 +37,46 @@ def interpolate(points):
     return poly
 
 
+def paper_periodic(n):
+    """The paper's closed binomial sums for the periodic e-values."""
+    third = Fraction(1, 3)
+    c = gen_binom(n - third, n)
+    ev = []
+    for l in range(n + 1):
+        tot = Fraction(0)
+        for p in range(l // 3 + 1):
+            tot += (
+                gen_binom(2 * n - 3 * p + l, 2 * n)
+                * gen_binom(n - third, n - p)
+                * gen_binom(n + third, p)
+                - gen_binom(2 * n - 3 * p + l - 1, 2 * n)
+                * gen_binom(n - third, p)
+                * gen_binom(n + third, n - p)
+            )
+        ev.append(tot / c)
+    return tuple(ev)
+
+
+def paper_twisted(n):
+    """The paper's closed binomial sums for the twisted e-values."""
+    third = Fraction(1, 3)
+    c = gen_binom(n - third, n)
+    ev = []
+    for l in range(n + 1):
+        tot = Fraction(0)
+        for p in range(l // 3 + 2):
+            tot += (
+                gen_binom(2 * n - 3 * p + l - 1, 2 * n - 1)
+                * gen_binom(n - third, n - p)
+                * gen_binom(n - 2 * third, p)
+                - gen_binom(2 * n - 3 * p + l + 1, 2 * n - 1)
+                * gen_binom(n - third, p - 1)
+                * gen_binom(n - 2 * third, n - p)
+            )
+        ev.append(tot / c)
+    return tuple(ev)
+
+
 class TestBoundary:
     def test_chain_lengths(self):
         assert Boundary.PERIODIC.chain_length(3) == 7
@@ -58,6 +99,42 @@ class TestEValues:
         # L = 2: the single wt root is 4 (w = 2 + sqrt(3))
         assert elem_reflecting(1).evalues == (1, 4)
 
+    def test_reflecting_n2_and_n3(self):
+        assert elem_reflecting(2).evalues == (1, 8, 13)
+        assert elem_reflecting(3).evalues == (1, 12, Fraction(1041, 26), Fraction(526, 13))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_periodic_paper_sums(self, n):
+        assert elem_periodic(n).evalues == paper_periodic(n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_twisted_paper_sums(self, n):
+        assert elem_twisted(n).evalues == paper_twisted(n)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_wrong_term_raises(self, boundary, monkeypatch):
+        form = qfunctions._rational_form
+
+        def perturbed(b, n):
+            terms, base, power, c = form(b, n)
+            (a, j), *rest = terms
+            return [(a + 1, j), *rest], base, power, c
+
+        monkeypatch.setattr(qfunctions, "_rational_form", perturbed)
+        with pytest.raises(ExactDivisionError):
+            elem_for(boundary, 3)
+
+    def test_wrong_normaliser_raises(self, monkeypatch):
+        form = qfunctions._rational_form
+
+        def doubled(b, n):
+            terms, base, power, c = form(b, n)
+            return terms, base, power, 2 * c
+
+        monkeypatch.setattr(qfunctions, "_rational_form", doubled)
+        with pytest.raises(ExactDivisionError, match="not monic"):
+            elem_periodic(3)
+
     def test_periodic_n0_and_n1(self):
         assert elem_periodic(0).evalues == (1,)
         assert elem_periodic(1).evalues == (1, 1)
@@ -77,10 +154,12 @@ class TestEValues:
 
 
 class TestRationalFormAgreement:
-    """The closed rational forms and the extracted polynomial coefficients
-    describe the same function; this is the independent oracle for the
-    coefficient extraction (decisive for the reflecting boundary, whose
-    extraction is derived rather than transcribed)."""
+    """The e-values and the closed rational forms describe the same
+    function.  Both read one coefficient table, so interpolating the
+    evaluated form checks the exact division and, for the reflecting
+    boundary, the Chebyshev expansion in wt.  TestEValues checks the table
+    itself: against the paper's binomial sums for the periodic and twisted
+    boundaries, and against pinned values for the reflecting one."""
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_periodic(self, n):
@@ -106,6 +185,11 @@ class TestRationalFormAgreement:
             (w + 1 / w, q_rational_eval(Boundary.REFLECTING, n, w)) for w in pts
         ]
         assert interpolate(samples) == qp.poly()
+
+    def test_int_point_stays_exact(self):
+        got = q_rational_eval(Boundary.REFLECTING, 2, 2)
+        assert isinstance(got, Fraction)
+        assert got == q_rational_eval(Boundary.REFLECTING, 2, Fraction(2))
 
     def test_poles_raise(self):
         with pytest.raises(ZeroDivisionError):
