@@ -35,11 +35,17 @@ def falling_binom(a, k: int) -> Fraction:
     """binom(a, k) as the falling-factorial product a(a-1)...(a-k+1)/k!.
 
     Defined for every rational a; k < 0 gives 0.  This is the classical
-    generalized binomial, nonzero for negative integer tops.
+    generalized binomial, nonzero for negative integer tops: for integer a
+    it is comb(a, k) when a >= 0 and (-1)^k comb(k - a - 1, k) otherwise.
     """
     if k < 0:
         return Fraction(0)
     a = Fraction(a)
+    if a.denominator == 1:
+        top = a.numerator
+        if top >= 0:
+            return Fraction(math.comb(top, k))
+        return Fraction((-1) ** k * math.comb(k - top - 1, k))
     out = Fraction(1)
     for j in range(1, k + 1):
         out *= Fraction(a - k + j, j)

@@ -266,6 +266,40 @@ def _hyp_binom(convention: str):
     raise ValueError(f"unknown convention {convention!r}")
 
 
+def _hyp_sides(which: int, n: int, B, variant: str):
+    """The lower index and the two sides of a hypergeometric identity at
+    fixed n.  Each side is a list of (top, weight) pairs and equals
+    sum B(top + s, bottom) * weight; the weights do not depend on s."""
+    third = Fraction(1, 3)
+    two_thirds = Fraction(2, 3)
+    ps = range(n + 1)
+    if which == 1:
+        return 2 * n, [
+            (3 * p - n, B(n - third, p) * B(n + third, n - p)) for p in ps
+        ], [
+            (3 * p - n - 1, B(n - third, n - p) * B(n + third, p)) for p in ps
+        ]
+    if which != 2:
+        raise ValueError("which must be 1 or 2")
+    if variant == "corrected":
+        bot = 2 * n - 1
+    elif variant == "printed":
+        bot = 2 * n
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return bot, [
+        (3 * p - n, B(n - third, p) * B(n - two_thirds, n - p)) for p in ps
+    ], [
+        (3 * p - n + 2, B(n - third, n - p - 1) * B(n - two_thirds, p)) for p in ps
+    ]
+
+
+def _hyp_holds(B, sides, s: int) -> bool:
+    bot, lhs, rhs = sides
+    return (sum(B(top + s, bot) * w for top, w in lhs)
+            == sum(B(top + s, bot) * w for top, w in rhs))
+
+
 def verify_hyp_identity(
     which: int,
     n: int,
@@ -293,36 +327,8 @@ def verify_hyp_identity(
     (the module-wide gen_binom rule, under which identity 1 fails for
     s <= n).
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
     B = _hyp_binom(convention)
-    third = Fraction(1, 3)
-    two_thirds = Fraction(2, 3)
-    if which == 1:
-        lhs = sum(
-            B(3 * p - n + s, 2 * n) * B(n - third, p) * B(n + third, n - p)
-            for p in range(n + 1)
-        )
-        rhs = sum(
-            B(3 * p - n + s - 1, 2 * n) * B(n - third, n - p) * B(n + third, p)
-            for p in range(n + 1)
-        )
-        return lhs == rhs
-    if variant == "corrected":
-        bot = 2 * n - 1
-    elif variant == "printed":
-        bot = 2 * n
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    lhs = sum(
-        B(3 * p - n + s, bot) * B(n - third, p) * B(n - two_thirds, n - p)
-        for p in range(n + 1)
-    )
-    rhs = sum(
-        B(3 * p - n + s + 2, bot) * B(n - third, n - p - 1) * B(n - two_thirds, p)
-        for p in range(n + 1)
-    )
-    return lhs == rhs
+    return _hyp_holds(B, _hyp_sides(which, n, B, variant), s)
 
 
 def hyp_failures(
@@ -334,12 +340,12 @@ def hyp_failures(
 ):
     """All (n, s) pairs with 0 <= s <= 3n, n <= max_n where the identity
     fails under the given convention and variant."""
-    return [
-        (n, s)
-        for n in range(max_n + 1)
-        for s in range(3 * n + 1)
-        if not verify_hyp_identity(which, n, s, convention=convention, variant=variant)
-    ]
+    B = _hyp_binom(convention)
+    failures = []
+    for n in range(max_n + 1):
+        sides = _hyp_sides(which, n, B, variant)
+        failures.extend((n, s) for s in range(3 * n + 1) if not _hyp_holds(B, sides, s))
+    return failures
 
 
 def chebyshev_expand(n: int) -> Poly:

@@ -113,6 +113,16 @@ class TestDiag:
         assert abs(float(data["energy"]["re"]) + 15 / 4) < 1e-9
         assert abs(float(data["ratio"]) - 2) < 1e-9
 
+    def test_periodic_chain_above_dense_cap(self, capsys):
+        # largest/smallest groundstate component of the L = 15 chain is A_7
+        code, out = run_capture(
+            capsys, ["diag", "--boundary", "periodic", "--L", "15"]
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["dim"] == 6435
+        assert abs(float(data["ratio"]) - 218348) < 1e-8 * 218348
+
 
 class TestSchur:
     def test_from_evalues(self, capsys):

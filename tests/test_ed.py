@@ -41,23 +41,39 @@ class TestBasis:
 class TestHamiltonian:
     def test_periodic_is_hermitian(self):
         _, h = build_hamiltonian(6, Boundary.PERIODIC)
+        h = h.toarray()
         assert np.allclose(h, h.conj().T)
 
     def test_twisted_spectrum_real(self):
         _, h = build_hamiltonian(6, Boundary.TWISTED)
-        evals = np.linalg.eigvals(h)
+        evals = np.linalg.eigvals(h.toarray())
         assert np.max(np.abs(evals.imag)) < 1e-10
 
     def test_reflecting_spectrum_real(self):
         # non-normal matrix: eigenvalues of near-degenerate pairs carry
         # sqrt(eps)-level imaginary noise, hence the loose tolerance
         _, h = build_hamiltonian(6, Boundary.REFLECTING)
-        evals = np.linalg.eigvals(h)
+        evals = np.linalg.eigvals(h.toarray())
         assert np.max(np.abs(evals.imag)) < 1e-6
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
             build_hamiltonian(MAX_L + 1, Boundary.PERIODIC)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_matvec_matches_dense(self, boundary):
+        _, h = build_hamiltonian(7, boundary)
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+        dense = h.toarray() @ x
+        assert np.max(np.abs(h @ x - dense)) < 1e-14 * h.norm_inf * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("L", [2, 3, 6])
+    def test_norm_inf(self, boundary, L):
+        # L = 2 closed chains add two hops into one entry
+        _, h = build_hamiltonian(L, boundary)
+        assert h.norm_inf == np.linalg.norm(h.toarray(), np.inf)
 
 
 class TestGroundstateObservables:
@@ -112,6 +128,55 @@ class TestGroundstateObservables:
         _, vec = groundstate(h)
         mags = np.abs(vec)
         assert abs(mags.min() - 1.0) < 1e-9
+
+    def test_reflecting_above_dense_cap(self):
+        # L = 16 was out of reach of the dense solver (about 10 GB)
+        eb, _ = bethe_energy(Boundary.REFLECTING, 8)
+        _, h = build_hamiltonian(16, Boundary.REFLECTING)
+        val, _ = groundstate(h, shift_hint=eb.real)
+        assert abs(val - eb) < 1e-10
+
+
+def dense_groundstate(h):
+    """Reference: full dense eigendecomposition, lowest real part."""
+    evals, evecs = np.linalg.eig(h.toarray())
+    k = int(np.argmin(evals.real))
+    return evals[k], evecs[:, k]
+
+
+def same_up_to_scale(vec, ref):
+    k = int(np.argmax(np.abs(ref)))
+    return np.max(np.abs(vec * (ref[k] / vec[k]) - ref)) / np.abs(ref[k])
+
+
+class TestArnoldi:
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("L", range(2, 9))
+    def test_matches_dense_eig(self, boundary, L):
+        _, h = build_hamiltonian(L, boundary)
+        ref_val, ref_vec = dense_groundstate(h)
+        val, vec = groundstate(h)
+        assert abs(val - ref_val) < 1e-12
+        assert same_up_to_scale(vec, ref_vec) < 1e-10
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_hint_gives_same_pair(self, boundary):
+        eb, _ = bethe_energy(boundary, 5)
+        _, h = build_hamiltonian(10, boundary)
+        val, vec = groundstate(h)
+        hinted_val, hinted_vec = groundstate(h, shift_hint=eb.real)
+        assert abs(val - hinted_val) < 1e-12
+        assert same_up_to_scale(hinted_vec, vec) < 1e-10
+
+    def test_forced_nonconvergence(self):
+        _, h = build_hamiltonian(6, Boundary.REFLECTING)
+        with pytest.raises(ArithmeticError) as info:
+            groundstate(h, tol=0.0, max_iter=3)
+        message = str(info.value)
+        assert len(message) < 80
+        assert "3 restarts" in message
+        residual = message.rsplit("residual ", 1)[1].rstrip(")")
+        assert f"{float(residual):.3g}" == residual
 
 
 class TestWavefunctionMatch:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from betheq import qfunctions
-from betheq.exact import ExactDivisionError, Poly, Q, QINV, gen_binom
+from betheq.exact import ExactDivisionError, Poly, Q, QINV, falling_binom, gen_binom
 from betheq.qfunctions import (
     Boundary,
     QPolynomial,
@@ -220,7 +220,66 @@ class TestSpecialValues:
         assert qinv_product_value(2) == Fraction(4) * Fraction(3, 10)
 
 
+def product_falling_binom(a, k):
+    """Reference: binom(a, k) as the falling-factorial product."""
+    if k < 0:
+        return Fraction(0)
+    a = Fraction(a)
+    out = Fraction(1)
+    for j in range(1, k + 1):
+        out *= Fraction(a - k + j, j)
+    return out
+
+
+def reference_hyp_identity(which, n, s, convention, variant):
+    """Reference: both sides of a hypergeometric identity summed term by
+    term, every binomial recomputed for each s."""
+    B = {"generalized": product_falling_binom, "truncating": gen_binom}[convention]
+    third = Fraction(1, 3)
+    two_thirds = Fraction(2, 3)
+    if which == 1:
+        lhs = sum(
+            B(3 * p - n + s, 2 * n) * B(n - third, p) * B(n + third, n - p)
+            for p in range(n + 1)
+        )
+        rhs = sum(
+            B(3 * p - n + s - 1, 2 * n) * B(n - third, n - p) * B(n + third, p)
+            for p in range(n + 1)
+        )
+        return lhs == rhs
+    bot = 2 * n - 1 if variant == "corrected" else 2 * n
+    lhs = sum(
+        B(3 * p - n + s, bot) * B(n - third, p) * B(n - two_thirds, n - p)
+        for p in range(n + 1)
+    )
+    rhs = sum(
+        B(3 * p - n + s + 2, bot) * B(n - third, n - p - 1) * B(n - two_thirds, p)
+        for p in range(n + 1)
+    )
+    return lhs == rhs
+
+
 class TestHypIdentities:
+    def test_falling_binom_integer_tops(self):
+        for a in range(-30, 31):
+            for k in range(-2, 25):
+                assert falling_binom(a, k) == product_falling_binom(a, k), (a, k)
+
+    @pytest.mark.parametrize("convention", ["generalized", "truncating"])
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_matches_reference(self, which, variant, convention):
+        expect = []
+        for n in range(9):
+            for s in range(3 * n + 1):
+                holds = reference_hyp_identity(which, n, s, convention, variant)
+                assert verify_hyp_identity(
+                    which, n, s, convention=convention, variant=variant
+                ) == holds, (n, s)
+                if not holds:
+                    expect.append((n, s))
+        assert hyp_failures(which, 8, convention=convention, variant=variant) == expect
+
     def test_identity1_holds_generalized(self):
         assert hyp_failures(1, 10) == []
 
