@@ -1,19 +1,22 @@
 """Arbitrary-precision Bethe-root extraction and certification.
 
 Roots of the exact Q-polynomials are found by Aberth-Ehrlich simultaneous
-iteration at a stated binary precision, polished with Newton steps, and
-certified three ways: coefficient reconstruction, Bethe-equation
-residuals, and (downstream) comparison against exact diagonalization.
-All tolerances are relative to the working precision.
+iteration at a stated binary precision and certified three ways:
+coefficient reconstruction, Bethe-equation residuals, and (downstream)
+comparison against exact diagonalization.  All tolerances are relative to
+the working precision.
 
-Each root stops moving once its relative step is below 2^(4 - precision)
-or its value |p(x)| is within the rounding bound of Horner's rule, so the
-iteration ends at the rounding floor instead of running into its
-iteration cap there.
+One Aberth kernel runs twice (Bini, Numer. Algorithms 13, 1996; Bini and
+Robol, J. Comput. Appl. Math. 272, 2014): a 53-bit pass on Python complex
+walks in from a circle and seeds the multiprecision pass.  Each root stops
+moving once its relative step is below 2^(4 - precision) or its value
+|p(x)| is within the rounding bound of Horner's rule, so each pass ends
+at its rounding floor instead of running into its iteration cap there.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -95,7 +98,10 @@ class RootSet:
 
     For the reflecting boundary, wt_roots holds the n roots in the
     wt = w + 1/w variable and roots holds the 2n split values with
-    roots[i + n] = 1/roots[i] exactly by construction.
+    roots[i + n] = 1/roots[i] exactly by construction.  iterations counts
+    the multiprecision Aberth iterations and reconstruction_error is the
+    max relative coefficient error of the polynomial rebuilt from the
+    roots (wt_roots for reflecting).
     """
 
     boundary: Boundary
@@ -105,6 +111,8 @@ class RootSet:
     roots: tuple
     wt_roots: tuple | None
     residual: object
+    iterations: int
+    reconstruction_error: object
 
     @property
     def bethe_roots(self):
@@ -113,43 +121,48 @@ class RootSet:
         return self.roots[: self.n]
 
 
-def _aberth(coeffs, prec: int):
-    """All roots of a monic polynomial (exact rational coefficients,
-    lowest degree first) by Aberth-Ehrlich iteration plus Newton polish.
+def _circle(cs):
+    """Aberth's start: n points on the circle of radius max(1, max|c_k|)^(1/n)."""
+    n = len(cs) - 1
+    radius = max(mp.mpf(1), *map(abs, cs)) ** (mp.mpf(1) / n)
+    return [
+        radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
+        for j in range(n)
+    ]
+
+
+def _aberth(cs, roots, prec: int):
+    """All roots of a monic polynomial (coefficients cs, highest degree
+    first) by Aberth-Ehrlich iteration from the start roots, run unchanged
+    on Python float/complex or on mpmath mpf/mpc at the working precision.
 
     Returns the roots and the number of iterations.  Root i stops moving
     once its relative step falls below 2^(4 - prec), or once |p(x_i)| is
-    within the rounding bound of Horner's rule at the working precision,
-    4 n 2^-mp.prec sum_k |c_k| |x_i|^k (Bini, Numer. Algorithms 13, 1996).
-    A stopped root still enters the Aberth sum of the others; the
-    iteration ends when every root has stopped.
+    within Horner's rounding bound 4 n 2^-bits sum_k |c_k| |x_i|^k, where
+    2^(1 - bits) is mp.eps or the float epsilon.  A stopped root still
+    enters the Aberth sum of the others; the iteration ends when every
+    root has stopped.
     """
-    n = len(coeffs) - 1
-    cs = [_mpf_frac(c) for c in reversed(coeffs)]
+    n = len(cs) - 1
     abs_cs = [abs(c) for c in cs]
-    floor = 4 * n * mp.mpf(2) ** -mp.prec
+    floor = 2 * n * (mp.eps if isinstance(abs_cs[0], mp.mpf) else 2.0**-52)
 
     def horner(x):
         """p(x), p'(x) and the Horner rounding bound at x, in one pass."""
         ax = abs(x)
-        p = dp = mp.mpc(0)
-        bound = mp.mpf(0)
+        p = dp = bound = 0
         for c, ac in zip(cs, abs_cs):
             dp = dp * x + p
             p = p * x + c
             bound = bound * ax + ac
         return p, dp, floor * bound
 
-    radius = max(mp.mpf(1), *abs_cs) ** (mp.mpf(1) / n)
-    roots = [
-        radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
-        for j in range(n)
-    ]
-    eps = mp.mpf(2) ** (-prec + 4)
+    roots = list(roots)
+    eps = abs_cs[0] / 2 ** (prec - 4)
     active = range(n)
     cap = 64 + 8 * prec // 16
     for iterations in range(1, cap + 1):
-        worst = mp.mpf(0)
+        worst = 0
         moving = []
         for i in active:
             x = roots[i]
@@ -162,14 +175,14 @@ def _aberth(coeffs, prec: int):
                 moving.append(i)
                 continue
             newton = p / dp
-            s = mp.mpc(0)
+            s = 0
             for j in range(n):
                 if j != i:
                     s += 1 / (x - roots[j])
             denom = 1 - newton * s
             step = newton if denom == 0 else newton / denom
             roots[i] = x - step
-            rel = abs(step) / max(mp.mpf(1), abs(roots[i]))
+            rel = abs(step) / max(1, abs(roots[i]))
             worst = max(worst, rel)
             if rel >= eps:
                 moving.append(i)
@@ -181,12 +194,22 @@ def _aberth(coeffs, prec: int):
             f"Aberth iteration stalled at correction {mpmath.nstr(worst, 8)} for degree {n}",
             degree=n, precision=prec, iterations=cap, correction=worst,
         )
-    for _ in range(3):
-        for i in range(n):
-            p, dp, _ = horner(roots[i])
-            if dp != 0:
-                roots[i] -= p / dp
     return roots, iterations
+
+
+def _seed(cs):
+    """Start roots for the multiprecision pass: the roots of a 53-bit
+    _aberth pass on Python complex from the circle, or the circle itself
+    when that pass raises (overflow, zero divisor, its cap), when its
+    coefficients or roots are not finite or its roots not distinct."""
+    circle = _circle(cs)
+    floats = [float(c) for c in cs]  # inf beyond the double range
+    try:
+        roots, _ = _aberth(floats, [complex(x) for x in circle], 53)
+    except ArithmeticError:
+        return circle
+    usable = len(set(roots)) == len(roots) and all(map(cmath.isfinite, floats + roots))
+    return [mp.mpc(x) for x in roots] if usable else circle
 
 
 def _reconstruct_error(coeffs, roots):
@@ -210,8 +233,9 @@ def _reconstruct_error(coeffs, roots):
 def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     """Find all roots of a Q-polynomial at the given precision (bits).
 
-    The polynomial rebuilt from the roots must match the exact
-    coefficients to 2^(20-precision) relative, else NonConvergenceError.
+    A 53-bit _aberth pass seeds the multiprecision pass (see _seed).  The
+    polynomial rebuilt from the roots must match the exact coefficients to
+    2^(20-precision) relative, else NonConvergenceError.
     Iteration and reconstruction run with ceil(log2 max|c_k|) bits beyond
     precision + GUARD_BITS, so that rounding in the large coefficients
     does not eat into that bound; the returned roots are rounded to
@@ -228,7 +252,8 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     # ceil(log2 top): the bit length of ceil(top) - 1 (top >= 1, monic)
     extra = (-(-top.numerator // top.denominator) - 1).bit_length()
     with mp.workprec(precision + GUARD_BITS + extra):
-        roots, iterations = _aberth(coeffs, precision) if n > 0 else ([], 0)
+        cs = [_mpf_frac(c) for c in reversed(coeffs)]
+        roots, iterations = _aberth(cs, _seed(cs), precision) if n > 0 else ([], 0)
         err = _reconstruct_error(coeffs, roots) if n > 0 else mp.mpf(0)
         tol = mp.mpf(2) ** (20 - precision)
         if err > tol:
@@ -258,6 +283,8 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
             roots=roots,
             wt_roots=wt,
             residual=None,
+            iterations=iterations,
+            reconstruction_error=err,
         )
         return replace(rs, residual=bethe_residual(rs))
 

@@ -173,6 +173,8 @@ def _cmd_roots(args) -> int:
             "precision_bits": rs.precision,
             "roots": [dict(_mp_str(w), precision=rs.precision) for w in rs.roots],
             "residual": mpmath.nstr(rs.residual, 8),
+            "iterations": rs.iterations,
+            "reconstruction_error": mpmath.nstr(rs.reconstruction_error, 8),
         }
     _emit(payload, args.format)
     return EXIT_OK
@@ -276,7 +278,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except bethe.NonConvergenceError as exc:
+    except (bethe.NonConvergenceError, ed.ArnoldiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, ZeroDivisionError, ArithmeticError) as exc:

@@ -26,6 +26,7 @@ __all__ = [
     "groundstate",
     "rs_observables",
     "default_sector",
+    "ArnoldiError",
 ]
 
 MAX_L = 18  # largest L measured to work; see build_hamiltonian
@@ -35,6 +36,10 @@ TWIST_PHI = np.pi / 3
 # wavefunction of the L = 2 reflecting chain (see tests).
 BOUNDARY_FIELD = -1j * np.sqrt(3) / 4
 KRYLOV_DIM = 40  # Arnoldi basis size per restart
+
+
+class ArnoldiError(ArithmeticError):
+    """Restarted Arnoldi did not converge within its restart cap."""
 
 
 def default_sector(L: int, boundary: Boundary) -> int:
@@ -174,7 +179,7 @@ def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
     the Ritz vector with the lowest real part, or the one nearest
     shift_hint when a hint (e.g. the Bethe energy) is given.  It stops
     once ||H v - lambda v|| < tol ||H||_inf for the unit vector v and its
-    Rayleigh quotient lambda, and raises ArithmeticError after max_iter
+    Rayleigh quotient lambda, and raises ArnoldiError after max_iter
     restarts.  The vector is normalized so its smallest-modulus
     component is exactly 1.
     """
@@ -199,7 +204,7 @@ def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
         if residual < bound:
             break
     else:
-        raise ArithmeticError(
+        raise ArnoldiError(
             f"Arnoldi did not converge in {max_iter} restarts "
             f"(residual {residual:.3g})")
     nz = np.flatnonzero(np.abs(vec) > 0)

@@ -22,6 +22,7 @@ from betheq.bethe import (
 from betheq.conjectures import verify_reflecting_product
 from betheq.qfunctions import (
     Boundary,
+    QPolynomial,
     elem_for,
     elem_periodic,
     elem_reflecting,
@@ -92,12 +93,64 @@ class TestAberthStoppingRule:
         qp = elem_for(boundary, n)
         coeffs = list(qp.poly().coeffs)
         with mp.workprec(192):
-            roots, iterations = bethe._aberth(coeffs, 256)
+            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+            roots, iterations = bethe._aberth(cs, bethe._circle(cs), 256)
         assert iterations < 64 + 8 * 256 // 16
         rs = solve_roots(qp, 256)
         want = rs.wt_roots or rs.roots
         for r in roots:
             assert min(abs(r - w) for w in want) < mp.mpf(2) ** -170
+
+    def test_float_seed_shortens_the_multiprecision_pass(self):
+        # 20 iterations from the circle; the 53-bit seeds leave about 5
+        assert solve_roots(elem_periodic(20), 256).iterations <= 6
+
+
+class TestFloatSeed:
+    """The 53-bit pass only seeds the multiprecision pass: when its roots
+    are unusable, that pass starts from the circle and still converges."""
+
+    @staticmethod
+    def solve_recording_starts(monkeypatch, qp, float_roots=None):
+        """solve_roots(qp, 256), recording every circle built and the start
+        roots of each multiprecision pass; float_roots, if given, replaces
+        the result of the 53-bit pass."""
+        circles, starts = [], []
+        circle, aberth = bethe._circle, bethe._aberth
+
+        def spy_circle(cs):
+            circles.append(circle(cs))
+            return circles[-1]
+
+        def spy_aberth(cs, roots, prec):
+            if prec == 53:
+                result = aberth(cs, roots, prec)
+                return (float_roots, result[1]) if float_roots else result
+            starts.append(list(roots))
+            return aberth(cs, roots, prec)
+
+        monkeypatch.setattr(bethe, "_circle", spy_circle)
+        monkeypatch.setattr(bethe, "_aberth", spy_aberth)
+        return solve_roots(qp, 256), circles, starts
+
+    def test_coefficients_overflowing_a_double(self, monkeypatch):
+        # (w - a)(w + a)(w - 3a) with a = 10^134: e_3 = -3a^3 ~ -10^402
+        a = 10**134
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3 * a, -a * a, -3 * a**3))))
+        rs, circles, starts = self.solve_recording_starts(monkeypatch, qp)
+        assert starts == circles
+        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
+        with mp.workprec(256):
+            assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([-1, 1, 3], abs=1e-60)
+
+    @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 8), (Boundary.REFLECTING, 6)])
+    def test_coincident_float_roots(self, monkeypatch, boundary, n):
+        qp = elem_for(boundary, n)
+        coincident = [1 + 1j] * (n - 1) + [2j]
+        rs, circles, starts = self.solve_recording_starts(monkeypatch, qp, coincident)
+        assert starts == circles
+        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
+        assert rs.residual < mp.mpf(10) ** -40
 
 
 class TestNonConvergence:

@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from betheq import bethe, cli
+from betheq import bethe, cli, ed
 from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 
 
@@ -95,6 +95,16 @@ class TestRoots:
             for r in data["roots"]
         )
 
+    def test_roots_report_iterations_and_reconstruction_error(self, capsys):
+        code, out = run_capture(
+            capsys,
+            ["roots", "--boundary", "reflecting", "--n", "4", "--precision", "128"],
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert 1 <= data["iterations"] < 64 + 8 * 128 // 16
+        assert 0 <= float(data["reconstruction_error"]) <= 2.0 ** (20 - 128)
+
     def test_determinism(self, capsys):
         argv = ["roots", "--boundary", "twisted", "--n", "4", "--precision", "96"]
         _, out1 = run_capture(capsys, argv)
@@ -122,6 +132,13 @@ class TestDiag:
         data = json.loads(out)
         assert data["dim"] == 6435
         assert abs(float(data["ratio"]) - 218348) < 1e-8 * 218348
+
+    def test_arnoldi_nonconvergence_exits_numeric(self, capsys, monkeypatch):
+        groundstate = ed.groundstate
+        monkeypatch.setattr(ed, "groundstate", lambda h: groundstate(h, tol=0.0, max_iter=3))
+        code = run(["diag", "--L", "5", "--boundary", "periodic"])
+        assert code == EXIT_NUMERIC
+        assert "Arnoldi did not converge in 3 restarts" in capsys.readouterr().err
 
 
 class TestSchur:
