@@ -1,14 +1,15 @@
 """Exact determinants, the lambda-determinant via Dodgson condensation, and
 its alternating-sign-matrix sum expansion.
 
-Matrices are plain lists of lists of exact ring elements.  Integer matrices
-go through fraction-free Bareiss elimination; matrices over a field
-(Fraction, Cyclo) use ordinary elimination with pivoting on the first
-nonzero entry below the diagonal.
+Matrices are plain lists of lists of exact ring elements.  Every
+determinant goes through one fraction-free Bareiss kernel: rational
+matrices run it on Python ints after clearing denominators row by row, and
+other exact rings (Cyclo) run it with true division.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,54 +37,76 @@ def _check_square(m):
 
 
 def det_exact(m):
-    """Exact determinant of a square matrix over an exact ring."""
+    """Exact determinant of a square matrix over an exact ring.
+
+    Rows of ints and Fractions are scaled by the lcm of their denominators
+    and eliminated in ints; the result is divided by the product of the
+    scales (an all-int matrix gives an int).  Any other ring (Cyclo) runs
+    the same kernel with true division, which is exact in a field.
+    """
     n = _check_square(m)
     if n == 0:
         return 1
-    if all(isinstance(x, int) for row in m for x in row):
-        return _det_bareiss([list(row) for row in m])
-    return _det_field([list(row) for row in m])
+    ring = next((type(x) for row in m for x in row if not isinstance(x, (int, Fraction))), None)
+    if ring is not None:
+        one = ring(1)
+        return _bareiss([[x * one for x in row] for row in m], _truediv)
+    scales = [math.lcm(*(x.denominator for x in row)) for row in m]
+    a = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(m, scales)]
+    det = _bareiss(a, _floordiv)
+    if any(isinstance(x, Fraction) for row in m for x in row):
+        return Fraction(det, math.prod(scales))
+    return det
 
 
-def _det_bareiss(a):
+def _floordiv(xs, d):
+    return [x // d for x in xs]
+
+
+def _truediv(xs, d):
+    r = 1 / d
+    return [x * r for x in xs]
+
+
+def _bareiss(a, div):
+    """Determinant of a by row-lazy Bareiss elimination, in place.
+
+    Step k makes a[i][j], i, j > k, the minor on rows 0..k, i and columns
+    0..k, j: a[i][j] = (a[i][j] p_k - a[i][k] a[k][j]) / p_(k-1).  Where
+    a[i][k] = 0 this only scales the row by p_k / p_(k-1); those factors
+    telescope, so the row stays stale at step stamp[i] (piv[s] = p_(s-1))
+    until it is the pivot row, is next eliminated or is the last row.
+    """
     n = len(a)
+    piv = [a[0][0] ** 0] * (n + 1)  # the ring's one
+    stamp = [0] * n
     sign = 1
-    prev = 1
+
+    def current(i, k):
+        s = stamp[i]
+        if s != k:
+            a[i][k:] = div([x * piv[k] for x in a[i][k:]], piv[s])
+            stamp[i] = k
+        return a[i]
+
     for k in range(n - 1):
         if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
+            r = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if r is None:
+                return a[k][k]
+            a[k], a[r] = a[r], a[k]
+            stamp[k], stamp[r] = stamp[r], stamp[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _det_field(a):
-    n = len(a)
-    sign = 1
-    det = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if piv is None:
-            return 0 * a[0][0]
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        det = det * pivot
+        top = current(k, k)[k + 1:]
+        p = piv[k + 1] = a[k][k]
         for i in range(k + 1, n):
             if a[i][k] == 0:
                 continue
-            f = a[i][k] / pivot
-            for j in range(k, n):
-                a[i][j] = a[i][j] - f * a[k][j]
-    return sign * det
+            row = current(i, k)
+            f = row[k]
+            row[k + 1:] = div([x * p - f * y for x, y in zip(row[k + 1:], top)], piv[k])
+            stamp[i] = k + 1
+    return sign * current(n - 1, n - 1)[n - 1]
 
 
 def lambda_det_dodgson(m, lam):

@@ -46,10 +46,8 @@ def falling_binom(a, k: int) -> Fraction:
         if top >= 0:
             return Fraction(math.comb(top, k))
         return Fraction((-1) ** k * math.comb(k - top - 1, k))
-    out = Fraction(1)
-    for j in range(1, k + 1):
-        out *= Fraction(a - k + j, j)
-    return out
+    p, d = a.numerator, a.denominator
+    return Fraction(math.prod(p - i * d for i in range(k)), d**k * math.factorial(k))
 
 
 def gen_binom(a, k: int) -> Fraction:
@@ -325,7 +323,8 @@ class Poly:
         if not den:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dlead = den.coeffs[-1]
+        # a monic divisor keeps int coefficients int; otherwise divide in Q
+        dinv = 1 if den.coeffs[-1] == 1 else Fraction(1) / den.coeffs[-1]
         dd = den.degree
         qd = self.degree - dd
         if qd < 0:
@@ -335,7 +334,7 @@ class Poly:
             c = rem[i + dd]
             if c == 0:
                 continue
-            f = c / dlead
+            f = c * dinv
             quot[i] = f
             for j, dc in enumerate(den.coeffs):
                 rem[i + j] = rem[i + j] - f * dc

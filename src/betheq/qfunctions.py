@@ -127,14 +127,17 @@ def _rational_form(boundary: Boundary, n: int):
 def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
     """Q_n as the exact quotient of its closed rational form.
 
-    The numerator is divided by (base + x)^power, x = w or wt, and then by
-    c.  A remainder raises ExactDivisionError, and so does a quotient that
-    is not monic of degree n, so a wrong term in the form cannot return a
-    wrong polynomial.
+    The weights are scaled by the lcm d of their denominators, and the int
+    numerator is divided in ints by the monic (base + x)^power, x = w or
+    wt; only the e-values are divided by d c.  A remainder raises
+    ExactDivisionError, and so does a quotient that is not d c times a monic
+    of degree n, so a wrong term in the form cannot return a wrong polynomial.
     """
     terms, base, power, c = _rational_form(boundary, n)
-    num = [Fraction(0)] * (max(abs(j) for _, j in terms) + 1)
+    d = math.lcm(*(a.denominator for a, _ in terms))
+    num = [0] * (max(abs(j) for _, j in terms) + 1)
     for a, j in terms:
+        a = a.numerator * (d // a.denominator)
         if boundary is Boundary.REFLECTING:
             # (w^j - w^-j) / (w - 1/w) is odd in j and a polynomial in wt
             for i, u in enumerate(chebyshev_expand(abs(j) - 1).coeffs):
@@ -142,12 +145,13 @@ def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
         else:
             num[j] += a
     den = Poly([math.comb(power, i) * base ** (power - i) for i in range(power + 1)])
-    quot = poly_div_exact(Poly(num), den).scale(1 / c)
-    if quot.degree != n or quot[n] != 1:
+    quot = poly_div_exact(Poly(num), den)
+    if quot.degree != n or quot[n] != d * c:
         raise ExactDivisionError(
             f"{boundary.value} Q_{n} rational form: quotient is not monic of degree {n}"
         )
-    return QPolynomial(boundary, n, tuple((-1) ** l * quot[n - l] for l in range(n + 1)))
+    evalues = tuple((-1) ** l * Fraction(quot[n - l], d * c) for l in range(n + 1))
+    return QPolynomial(boundary, n, evalues)
 
 
 def elem_periodic(n: int) -> QPolynomial:
@@ -353,7 +357,7 @@ def chebyshev_expand(n: int) -> Poly:
     wt = w + 1/w it equals (w^{n+1} - w^{-n-1}) / (w - 1/w)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     for p in range(n // 2 + 1):
-        coeffs[n - 2 * p] = (-1) ** p * gen_binom(n - p, p)
+        coeffs[n - 2 * p] = (-1) ** p * math.comb(n - p, p)
     return Poly(coeffs)

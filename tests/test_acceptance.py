@@ -76,22 +76,22 @@ def test_criterion_03_special_values():
 
 def test_criterion_04_periodic_product():
     ok = True
-    for n in range(1, 9):
+    for n in range(1, 17):
         rep = verify_periodic_product(n)
         ok = ok and rep.equal and rep.lhs == Fraction(asm_count(n)) ** 3
-    verdict(4, "periodic double product equals A_n^3 exactly for n=1..8", ok)
+    verdict(4, "periodic double product equals A_n^3 exactly for n=1..16", ok)
 
 
 def test_criterion_05_twisted_product():
     ok = True
-    for n in range(1, 8):
+    for n in range(1, 17):
         rep = verify_twisted_product(n)
         target = Cyclo(asm_count(n) * asm_ht(2 * n - 1)) * QINV ** (n - 1)
         ok = ok and rep.equal and rep.lhs == target
     verdict(
         5,
         "twisted double product equals q^{-(n-1)} A_n A_HT(2n-1) exactly in"
-        " Q(q) for n=1..7",
+        " Q(q) for n=1..16",
         ok,
     )
 

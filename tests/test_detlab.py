@@ -14,6 +14,53 @@ from betheq.detlab import (
     lambda_det_asm_sum,
     lambda_det_dodgson,
 )
+from betheq.exact import Q, Cyclo
+
+
+def leibniz(m):
+    """Reference: the permutation expansion, skipping zero entries."""
+    n = len(m)
+    total = 0
+
+    def expand(i, used, sign, term):
+        nonlocal total
+        if i == n:
+            total = total + sign * term
+            return
+        for j in range(n):
+            if j not in used and m[i][j] != 0:
+                inversions = sum(1 for u in used if u > j)
+                expand(i + 1, used | {j}, sign * (-1) ** inversions, term * m[i][j])
+
+    expand(0, frozenset(), 1, 1)
+    return total
+
+
+def sparse_entry(rng, ring):
+    """About two-thirds zeros; nonzeros drawn from the ring, with ints and
+    Fractions mixed in for the rational and Cyclo cases."""
+    if rng.random() < 2 / 3:
+        return rng.choice([0, Fraction(0)]) if ring is not int else 0
+    x = rng.choice([-9, -5, -2, -1, 1, 2, 3, 7])
+    if ring is int or rng.random() < 0.3:
+        return x
+    x = Fraction(x, rng.randint(1, 6))
+    if ring is Cyclo and rng.random() < 0.8:
+        return Cyclo(x, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    return x
+
+
+def sparse_matrix(rng, n, ring):
+    m = [[sparse_entry(rng, ring) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.15 and n > 1:
+        # a singular matrix with no zero row: one row a multiple of another
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice([-2, 1, 3])
+        m[i] = [x * c for x in m[j]]
+    # pin the ring of the whole matrix through one entry
+    i, j = rng.randrange(n), rng.randrange(n)
+    m[i][j] = m[i][j] * Cyclo(1) if ring is Cyclo else ring(m[i][j])
+    return m
 
 
 def random_matrix(rng, n, *, positive=False):
@@ -54,6 +101,45 @@ class TestDetExact:
                 for i in range(n)
             ]
             assert det_exact(ab) == det_exact(a) * det_exact(b)
+
+    @pytest.mark.parametrize("ring", [int, Fraction, Cyclo])
+    def test_sparse_matches_leibniz(self, ring):
+        rng = random.Random({int: 1, Fraction: 2, Cyclo: 3}[ring])
+        singular = 0
+        for trial in range(400):
+            m = sparse_matrix(rng, 1 + trial % 7, ring)
+            frozen = [list(row) for row in m]
+            d = det_exact(m)
+            assert m == frozen
+            assert type(d) is ring, m
+            assert d == leibniz(m), m
+            singular += d == 0
+        assert 40 < singular < 360
+
+    def test_stale_rows_become_pivots(self):
+        # column 0 is nonzero only in rows 0 and 4, so rows 1-3 skip step 0;
+        # row 3 is then swapped in as the step-1 pivot while still stale
+        m = [
+            [2, 1, 0, 0, 5],
+            [0, 0, 3, 1, 0],
+            [0, 0, 0, 4, 1],
+            [0, 7, 0, 0, 2],
+            [3, 0, 0, 1, 1],
+        ]
+        assert det_exact(m) == leibniz(m) != 0
+        mf = [[Fraction(x, 1 + (i + j) % 3) for j, x in enumerate(row)] for i, row in enumerate(m)]
+        assert det_exact(mf) == leibniz(mf) != 0
+
+    def test_return_types(self):
+        assert type(det_exact([[2, 1], [1, 1]])) is int
+        assert type(det_exact([[0, 1], [0, 2]])) is int
+        assert type(det_exact([[Fraction(2), 1], [1, 1]])) is Fraction
+        assert type(det_exact([[Fraction(0), 1], [0, 2]])) is Fraction
+        assert det_exact([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == Fraction(-5, 6)
+        assert type(det_exact([[Cyclo(0, 1), 1], [1, 1]])) is Cyclo
+        assert det_exact([[Cyclo(0, 1), 1], [1, 1]]) == Q - 1
+        assert type(det_exact([[Cyclo(0), 1], [0, 2]])) is Cyclo
+        assert type(det_exact([[Cyclo(3)]])) is Cyclo
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

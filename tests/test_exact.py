@@ -128,6 +128,17 @@ class TestPoly:
         d = Poly([Fraction(-1), Fraction(1)])  # w - 1
         assert poly_div_exact(p, d) == Poly([Fraction(1)] * 3)
 
+    def test_monic_division_keeps_ints(self):
+        quot = poly_div_exact(Poly([1, 2, 1]), Poly([1, 1]))
+        assert quot == Poly([1, 1])
+        assert all(type(c) is int for c in quot.coeffs)
+
+    def test_non_monic_division_gives_fractions(self):
+        quot, rem = Poly([1, 2, 1]).divmod(Poly([2, 2]))
+        assert quot == Poly([Fraction(1, 2), Fraction(1, 2)])
+        assert all(type(c) is Fraction for c in quot.coeffs)
+        assert rem == Poly([])
+
     def test_inexact_division_raises(self):
         p = Poly([Fraction(1), Fraction(0), Fraction(1)])
         d = Poly([Fraction(-1), Fraction(1)])

@@ -265,6 +265,20 @@ class TestHypIdentities:
             for k in range(-2, 25):
                 assert falling_binom(a, k) == product_falling_binom(a, k), (a, k)
 
+    def test_falling_binom_non_integer_tops(self):
+        third = Fraction(1, 3)
+        for n in range(-5, 31):
+            for a in (n + third, n - third, n - 2 * third, 2 * n + 2 * third, 2 * n - 2 * third):
+                for k in (-2, -1):
+                    assert type(falling_binom(a, k)) is Fraction and falling_binom(a, k) == 0
+                # the falling-factorial product, extended by one factor per k
+                expect = Fraction(1)
+                for k in range(41):
+                    expect = expect * (a - k + 1) / k if k else expect
+                    got = falling_binom(a, k)
+                    assert type(got) is Fraction and got == expect, (a, k)
+                assert expect == product_falling_binom(a, 40), a
+
     @pytest.mark.parametrize("convention", ["generalized", "truncating"])
     @pytest.mark.parametrize("variant", ["corrected", "printed"])
     @pytest.mark.parametrize("which", [1, 2])
