@@ -290,37 +290,32 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
 
 
 def bethe_residual(rs: RootSet):
-    """Max absolute defect of the Bethe equations over all roots."""
+    """Max absolute defect of the Bethe equations over all roots,
+
+        z_i^P = t prod_j (q^2 w_j - w_i)/(w_j - q^2 w_i),
+
+    the w-image of the consistency equations under the variable change,
+    with j over the stored roots other than w_i and its mirror
+    (j mod n != i).  Closed chains have P = L and t = q^-2 (twisted) or 1
+    (periodic).  The reflecting chain has P = 2L and t = 1; its factors at
+    the stored reciprocals 1/w_j are the boundary factors
+    (q^2 - w_i w_j)/(1 - q^2 w_i w_j).
+    """
     with mp.workprec(rs.precision + GUARD_BITS):
         q = _qphase()
-        n, L = rs.n, rs.L
-        worst = mp.mpf(0)
-        if rs.boundary is Boundary.PERIODIC or rs.boundary is Boundary.TWISTED:
-            # z_i^L = (-1)^{n-1} twist prod_j (q^2 w_j - w_i)/(q^2 w_i - w_j),
-            # the w-image of the consistency equations under the variable
-            # change (the j = i factor is 1, so including it is harmless)
-            ws = rs.roots
-            q2 = q * q
-            twist = q ** (-2) if rs.boundary is Boundary.TWISTED else 1
-            sign = (-1) ** (n - 1)
-            for wi in ws:
-                z = _z(wi, q)
-                prod_term = mp.mpc(1)
-                for wj in ws:
-                    prod_term *= (q2 * wj - wi) / (q2 * wi - wj)
-                worst = max(worst, abs(z**L - sign * twist * prod_term))
-            return worst
-        ws = rs.bethe_roots
         q2 = q * q
-        for i, wi in enumerate(ws):
-            z = _z(wi, q)
-            prod_term = mp.mpc(1)
-            for j, wj in enumerate(ws):
-                if j == i:
-                    continue
-                prod_term *= (q2 * wj - wi) / (wj - q2 * wi)
-                prod_term *= (q2 - wi * wj) / (1 - q2 * wi * wj)
-            worst = max(worst, abs(z ** (2 * L) - prod_term))
+        n = rs.n
+        if rs.boundary is Boundary.REFLECTING:
+            power, twist = 2 * rs.L, 1
+        else:
+            power, twist = rs.L, q ** (-2) if rs.boundary is Boundary.TWISTED else 1
+        worst = mp.mpf(0)
+        for i, wi in enumerate(rs.bethe_roots):
+            prod_term = mp.mpc(twist)
+            for j, wj in enumerate(rs.roots):
+                if j % n != i:
+                    prod_term *= (q2 * wj - wi) / (wj - q2 * wi)
+            worst = max(worst, abs(_z(wi, q) ** power - prod_term))
         return worst
 
 

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ import mpmath
 from mpmath import mp
 
 from . import asmcounts, bethe, conjectures, ed, qfunctions, symfunc
-from .exact import rat_from_str, rat_to_str
+from .exact import rat_to_str
 from .qfunctions import Boundary
 
 EXIT_OK = 0
@@ -31,7 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_PRECISION = int(os.environ.get("BETHEQ_PRECISION", "256"))
+DEFAULT_PRECISION = 256
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -200,7 +199,7 @@ def _cmd_diag(args) -> int:
 
 def _cmd_schur(args) -> int:
     parts = [int(p) for p in args.partition.split(",") if p.strip()]
-    evals = [rat_from_str(s) for s in args.evalues.split(",") if s.strip()]
+    evals = [Fraction(s) for s in args.evalues.split(",") if s.strip()]
     if not evals or evals[0] != 1:
         raise ValueError("e-values must start with e_0 = 1")
     p = symfunc.Partition(parts)

@@ -17,9 +17,9 @@ from mpmath import mp
 
 from . import bethe
 from .asmcounts import asm_count, asm_ht, asm_v, n8
-from .detlab import det_exact
 from .exact import QINV, Cyclo, rat_to_str
-from .qfunctions import Boundary, QPolynomial, elem_periodic, elem_reflecting, elem_twisted
+from .qfunctions import QPolynomial, elem_periodic, elem_reflecting, elem_twisted
+from .symfunc import Partition, SymTable, schur_nk
 
 __all__ = [
     "VerificationReport",
@@ -76,26 +76,13 @@ def _value_json(v, tolerance):
 
 
 def groundstate_schur_det(qp: QPolynomial) -> Fraction:
-    """det(e_{n - floor((i+1)/2) - i + j}) of size 2(n-1) over the
-    e-values of qp; this is the Schur function of the double-staircase
-    partition (2(n-1), 2(n-2), ..., 2, 0) at the roots.  Shared by the
+    """The Schur function of the double-staircase partition
+    (2(n-1), 2(n-2), ..., 2) at the roots, as the Naegelsbach-Kostka
+    determinant of size 2(n-1) over the e-values of qp.  Shared by the
     periodic and twisted verifiers, which use the identical matrix shape.
     """
     n = qp.n
-    size = 2 * (n - 1)
-    if size <= 0:
-        return Fraction(1)
-
-    def e(l):
-        if 0 <= l <= n:
-            return qp.evalues[l]
-        return Fraction(0)
-
-    m = [
-        [e(n - (i + 1) // 2 - i + j) for j in range(1, size + 1)]
-        for i in range(1, size + 1)
-    ]
-    return det_exact(m)
+    return schur_nk(Partition(range(2 * (n - 1), 0, -2)), SymTable("e", qp.evalues, n))
 
 
 def verify_periodic_product(n: int) -> VerificationReport:

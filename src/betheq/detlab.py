@@ -1,10 +1,10 @@
 """Exact determinants, the lambda-determinant via Dodgson condensation, and
 its alternating-sign-matrix sum expansion.
 
-Matrices are plain lists of lists of exact ring elements.  Every
-determinant goes through one fraction-free Bareiss kernel: rational
-matrices run it on Python ints after clearing denominators row by row, and
-other exact rings (Cyclo) run it with true division.
+Matrices are plain lists of lists.  det_exact works over the rationals:
+it clears denominators row by row and runs one fraction-free Bareiss
+kernel on Python ints.  The lambda-determinant routines take entries from
+any exact field.
 """
 
 from __future__ import annotations
@@ -37,55 +37,45 @@ def _check_square(m):
 
 
 def det_exact(m):
-    """Exact determinant of a square matrix over an exact ring.
+    """Exact determinant of a square matrix of ints and Fractions.
 
-    Rows of ints and Fractions are scaled by the lcm of their denominators
-    and eliminated in ints; the result is divided by the product of the
-    scales (an all-int matrix gives an int).  Any other ring (Cyclo) runs
-    the same kernel with true division, which is exact in a field.
+    Rows are scaled by the lcm of their denominators and eliminated in
+    ints; the result is divided by the product of the scales (an all-int
+    matrix gives an int).  Any other entry type raises TypeError.
     """
     n = _check_square(m)
     if n == 0:
         return 1
-    ring = next((type(x) for row in m for x in row if not isinstance(x, (int, Fraction))), None)
-    if ring is not None:
-        one = ring(1)
-        return _bareiss([[x * one for x in row] for row in m], _truediv)
+    bad = next((x for row in m for x in row if not isinstance(x, (int, Fraction))), None)
+    if bad is not None:
+        raise TypeError(f"det_exact works over the rationals, got {type(bad).__name__}")
     scales = [math.lcm(*(x.denominator for x in row)) for row in m]
     a = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(m, scales)]
-    det = _bareiss(a, _floordiv)
+    det = _bareiss(a)
     if any(isinstance(x, Fraction) for row in m for x in row):
         return Fraction(det, math.prod(scales))
     return det
 
 
-def _floordiv(xs, d):
-    return [x // d for x in xs]
-
-
-def _truediv(xs, d):
-    r = 1 / d
-    return [x * r for x in xs]
-
-
-def _bareiss(a, div):
-    """Determinant of a by row-lazy Bareiss elimination, in place.
+def _bareiss(a):
+    """Determinant of an int matrix by row-lazy Bareiss elimination, in place.
 
     Step k makes a[i][j], i, j > k, the minor on rows 0..k, i and columns
-    0..k, j: a[i][j] = (a[i][j] p_k - a[i][k] a[k][j]) / p_(k-1).  Where
-    a[i][k] = 0 this only scales the row by p_k / p_(k-1); those factors
-    telescope, so the row stays stale at step stamp[i] (piv[s] = p_(s-1))
-    until it is the pivot row, is next eliminated or is the last row.
+    0..k, j: a[i][j] = (a[i][j] p_k - a[i][k] a[k][j]) // p_(k-1), an exact
+    division.  Where a[i][k] = 0 this only scales the row by p_k / p_(k-1);
+    those factors telescope, so the row stays stale at step stamp[i]
+    (piv[s] = p_(s-1)) until it is the pivot row, is next eliminated or is
+    the last row.
     """
     n = len(a)
-    piv = [a[0][0] ** 0] * (n + 1)  # the ring's one
+    piv = [1] * (n + 1)
     stamp = [0] * n
     sign = 1
 
     def current(i, k):
         s = stamp[i]
         if s != k:
-            a[i][k:] = div([x * piv[k] for x in a[i][k:]], piv[s])
+            a[i][k:] = [x * piv[k] // piv[s] for x in a[i][k:]]
             stamp[i] = k
         return a[i]
 
@@ -93,18 +83,19 @@ def _bareiss(a, div):
         if a[k][k] == 0:
             r = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if r is None:
-                return a[k][k]
+                return 0
             a[k], a[r] = a[r], a[k]
             stamp[k], stamp[r] = stamp[r], stamp[k]
             sign = -sign
         top = current(k, k)[k + 1:]
         p = piv[k + 1] = a[k][k]
+        d = piv[k]
         for i in range(k + 1, n):
             if a[i][k] == 0:
                 continue
             row = current(i, k)
             f = row[k]
-            row[k + 1:] = div([x * p - f * y for x, y in zip(row[k + 1:], top)], piv[k])
+            row[k + 1:] = [(x * p - f * y) // d for x, y in zip(row[k + 1:], top)]
             stamp[i] = k + 1
     return sign * current(n - 1, n - 1)[n - 1]
 

@@ -23,7 +23,6 @@ __all__ = [
     "gen_binom",
     "falling_binom",
     "rat_to_str",
-    "rat_from_str",
 ]
 
 
@@ -79,10 +78,6 @@ def rat_to_str(x) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 class Cyclo:
@@ -225,10 +220,6 @@ class Cyclo:
     def to_json(self) -> dict:
         return {"a": rat_to_str(self.a), "b": rat_to_str(self.b)}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "Cyclo":
-        return cls(rat_from_str(d["a"]), rat_from_str(d["b"]))
-
 
 Q = Cyclo(0, 1)
 QINV = Cyclo(1, -1)
@@ -306,12 +297,6 @@ class Poly:
 
     def scale(self, k):
         return Poly([c * k for c in self.coeffs])
-
-    def shift(self, m: int):
-        """Multiply by x^m."""
-        if not self:
-            return self
-        return Poly([0] * m + list(self.coeffs))
 
     def __call__(self, x):
         out = 0

@@ -262,18 +262,12 @@ def check_special_values(n: int) -> bool:
     return lhs == rhs
 
 
-def _hyp_binom(convention: str):
-    if convention == "generalized":
-        return falling_binom
-    if convention == "truncating":
-        return gen_binom
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def _hyp_sides(which: int, n: int, B, variant: str):
+def _hyp_sides(which: int, n: int):
     """The lower index and the two sides of a hypergeometric identity at
     fixed n.  Each side is a list of (top, weight) pairs and equals
-    sum B(top + s, bottom) * weight; the weights do not depend on s."""
+    sum falling_binom(top + s, bottom) * weight; the weights do not depend
+    on s."""
+    B = falling_binom
     third = Fraction(1, 3)
     two_thirds = Fraction(2, 3)
     ps = range(n + 1)
@@ -285,33 +279,20 @@ def _hyp_sides(which: int, n: int, B, variant: str):
         ]
     if which != 2:
         raise ValueError("which must be 1 or 2")
-    if variant == "corrected":
-        bot = 2 * n - 1
-    elif variant == "printed":
-        bot = 2 * n
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return bot, [
+    return 2 * n - 1, [
         (3 * p - n, B(n - third, p) * B(n - two_thirds, n - p)) for p in ps
     ], [
         (3 * p - n + 2, B(n - third, n - p - 1) * B(n - two_thirds, p)) for p in ps
     ]
 
 
-def _hyp_holds(B, sides, s: int) -> bool:
+def _hyp_holds(sides, s: int) -> bool:
     bot, lhs, rhs = sides
-    return (sum(B(top + s, bot) * w for top, w in lhs)
-            == sum(B(top + s, bot) * w for top, w in rhs))
+    return (sum(falling_binom(top + s, bot) * w for top, w in lhs)
+            == sum(falling_binom(top + s, bot) * w for top, w in rhs))
 
 
-def verify_hyp_identity(
-    which: int,
-    n: int,
-    s: int,
-    *,
-    convention: str = "generalized",
-    variant: str = "corrected",
-) -> bool:
+def verify_hyp_identity(which: int, n: int, s: int) -> bool:
     """Exact check of the two binomial summation identities that collapse
     the infinite tails in the Q-coefficient derivations.
 
@@ -319,36 +300,24 @@ def verify_hyp_identity(
       sum_p binom(3p-n+s, 2n)   binom(n-1/3, p)     binom(n+1/3, n-p)
     = sum_p binom(3p-n+s-1, 2n) binom(n-1/3, n-p)   binom(n+1/3, p)
 
-    Identity 2 (variant="corrected", lower index 2n-1):
+    Identity 2 (lower index 2n-1; the printed 2n fails for every s):
       sum_p binom(3p-n+s, 2n-1)   binom(n-1/3, p)     binom(n-2/3, n-p)
     = sum_p binom(3p-n+s+2, 2n-1) binom(n-1/3, n-p-1) binom(n-2/3, p)
 
-    variant="printed" uses lower index 2n in identity 2 instead; that
-    reading fails for every s (already at n = 0) and is kept only so the
-    failure can be reported.  convention selects how integer-top binomials
-    treat negative tops: "generalized" (falling factorial, the convention
-    under which identity 1 holds for all 0 <= s <= 3n) or "truncating"
-    (the module-wide gen_binom rule, under which identity 1 fails for
-    s <= n).
+    Binomials are generalized falling factorials, so negative integer
+    tops stay nonzero; under that convention identity 1 holds for all
+    0 <= s <= 3n (with the truncating gen_binom it fails for s <= n).
     """
-    B = _hyp_binom(convention)
-    return _hyp_holds(B, _hyp_sides(which, n, B, variant), s)
+    return _hyp_holds(_hyp_sides(which, n), s)
 
 
-def hyp_failures(
-    which: int,
-    max_n: int,
-    *,
-    convention: str = "generalized",
-    variant: str = "corrected",
-):
+def hyp_failures(which: int, max_n: int):
     """All (n, s) pairs with 0 <= s <= 3n, n <= max_n where the identity
-    fails under the given convention and variant."""
-    B = _hyp_binom(convention)
+    fails."""
     failures = []
     for n in range(max_n + 1):
-        sides = _hyp_sides(which, n, B, variant)
-        failures.extend((n, s) for s in range(3 * n + 1) if not _hyp_holds(B, sides, s))
+        sides = _hyp_sides(which, n)
+        failures.extend((n, s) for s in range(3 * n + 1) if not _hyp_holds(sides, s))
     return failures
 
 

@@ -1,5 +1,5 @@
 """Partitions, semistandard tableaux and the m/e/h/s symmetric function
-families, over any exact coefficient ring.
+families.  The determinantal identities work over the rationals.
 
 The central object is SymTable: a table of elementary (or complete)
 symmetric function values decoupled from the underlying variables.  All
@@ -141,23 +141,25 @@ def elem_brute(variables) -> SymTable:
     return SymTable("e", coeffs, len(coeffs) - 1)
 
 
+def _jt_det(parts, table: SymTable):
+    """The Jacobi-Trudi shaped determinant det(t_{parts_i - i + j}) of size
+    len(parts) over the table's values."""
+    k = len(parts)
+    return det_exact([[table.val(parts[i] - i + j) for j in range(k)] for i in range(k)])
+
+
 def complete_from_elem(e: SymTable, k: int):
     """h_k from an e-table via the duality determinant det(e_{1-i+j})."""
     if k < 0:
         return 0
-    if k == 0:
-        return 1
-    m = [[e.val(1 - i + j) for j in range(k)] for i in range(k)]
-    return det_exact(m)
+    return _jt_det((1,) * k, e)
+
 
 def elem_from_complete(h: SymTable, k: int):
     """e_k from an h-table via det(h_{1-i+j}); the dual direction."""
     if k < 0:
         return 0
-    if k == 0:
-        return 1
-    m = [[h.val(1 - i + j) for j in range(k)] for i in range(k)]
-    return det_exact(m)
+    return _jt_det((1,) * k, h)
 
 
 def complete_table(e: SymTable, upto: int) -> SymTable:
@@ -170,23 +172,13 @@ def complete_table(e: SymTable, upto: int) -> SymTable:
 def schur_nk(p: Partition, e: SymTable):
     """Schur value from e-values: the Naegelsbach-Kostka determinant
     det(e_{mu'_i - i + j}) of size len(mu')."""
-    mu = p.conjugate().parts
-    k = len(mu)
-    if k == 0:
-        return 1
-    m = [[e.val(mu[i] - i + j) for j in range(k)] for i in range(k)]
-    return det_exact(m)
+    return _jt_det(p.conjugate().parts, e)
 
 
 def schur_jt(p: Partition, h: SymTable):
     """Schur value from h-values: the Jacobi-Trudi determinant
     det(h_{mu_i - i + j}) of size len(mu)."""
-    mu = p.parts
-    k = len(mu)
-    if k == 0:
-        return 1
-    m = [[h.val(mu[i] - i + j) for j in range(k)] for i in range(k)]
-    return det_exact(m)
+    return _jt_det(p.parts, h)
 
 
 def schur_tableaux(p: Partition, variables):

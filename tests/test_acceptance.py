@@ -149,7 +149,7 @@ def test_criterion_09_hyp_identities():
     detail = ""
     if fails1 or fails2:
         detail = (
-            f" [failures (n, s) under convention=generalized:"
+            f" [failures (n, s) under the generalized convention:"
             f" identity1={fails1} identity2(corrected)={fails2}]"
         )
     ok = not fails1 and not fails2

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from betheq import symfunc
 from betheq.symfunc import (
     Partition,
     SymTable,
+    TableauGuardError,
     complete_from_elem,
     complete_table,
     elem_brute,
@@ -144,6 +146,15 @@ class TestSchurIdentities:
     def test_vandermonde_rejects_repeats(self):
         with pytest.raises(ZeroDivisionError):
             schur_vandermonde(Partition([2]), [Fraction(1), Fraction(1)])
+
+    def test_tableau_guard(self, monkeypatch):
+        # shape (2) in 3 variables has 6 tableaux: the guard admits exactly 6
+        ws = [Fraction(1), Fraction(2), Fraction(3)]
+        monkeypatch.setattr(symfunc, "TABLEAU_GUARD", 6)
+        assert schur_tableaux(Partition([2]), ws) == 25
+        monkeypatch.setattr(symfunc, "TABLEAU_GUARD", 5)
+        with pytest.raises(TableauGuardError):
+            schur_tableaux(Partition([2]), ws)
 
 class TestSymTable:
     def test_negative_index_zero(self):
