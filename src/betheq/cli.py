@@ -89,32 +89,8 @@ def _cmd_asm(args) -> int:
     return EXIT_OK
 
 
-def _recursion(n: int, precision: int):
-    return conjectures.VerificationReport(
-        conjecture="recursion", n=n, lhs="poly", rhs="poly",
-        equal=qfunctions.check_recursion_periodic(n), method="exact")
-
-
-def _hyp(which: int):
-    def verify(n: int, precision: int):
-        failures = qfunctions.hyp_failures(which, n)
-        return conjectures.VerificationReport(
-            conjecture=f"hyp{which}", n=n,
-            lhs=[list(f) for f in failures], rhs=[],
-            equal=not failures, method="exact")
-    return verify
-
-
-# name -> callable(n, precision); 'verify all' runs them in this order
-VERIFIERS = {
-    "conj": lambda n, precision: conjectures.verify_periodic_product(n),
-    "conj1": lambda n, precision: conjectures.verify_twisted_product(n),
-    "conj2": lambda n, precision: conjectures.verify_reflecting_product(n, precision),
-    "sums": lambda n, precision: conjectures.verify_component_sums(n, precision),
-    "recursion": _recursion,
-    "hyp1": _hyp(1),
-    "hyp2": _hyp(2),
-}
+# every identity and how it is judged lives in conjectures; this is the same dict
+VERIFIERS = conjectures.VERIFIERS
 
 
 def _nonconvergence_json(name: str, n: int, exc: bethe.NonConvergenceError) -> dict:
@@ -202,14 +178,11 @@ def _cmd_schur(args) -> int:
     evals = [Fraction(s) for s in args.evalues.split(",") if s.strip()]
     if not evals or evals[0] != 1:
         raise ValueError("e-values must start with e_0 = 1")
-    p = symfunc.Partition(parts)
     nvars = args.nvars if args.nvars is not None else len(evals) - 1
-    # pad so every index reachable by the determinant is defined
-    size = len(p.conjugate())
-    need = (p.parts[0] if p.parts else 0) + size + 1
-    evals = evals + [Fraction(0)] * max(0, need - len(evals))
+    if len(evals) < nvars + 1:
+        raise ValueError(f"--nvars {nvars} needs e_0..e_{nvars}, got {len(evals)} e-values")
     table = symfunc.SymTable("e", evals, nvars)
-    value = symfunc.schur_nk(p, table)
+    value = symfunc.schur_nk(symfunc.Partition(parts), table)
     _emit({"partition": parts, "schur": rat_to_str(value)}, args.format)
     return EXIT_OK
 

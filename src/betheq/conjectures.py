@@ -1,10 +1,11 @@
-"""Verification of the product identities linking Bethe-root double
-products to alternating-sign-matrix counts.
+"""Every identity that `betheq verify` runs (`VERIFIERS`) and how it is judged.
 
-Periodic and twisted products reduce to exact Schur determinants over the
-known e-values and are checked by exact equality.  The reflecting product
-has no known e-value reduction and is checked numerically from certified
-high-precision roots, with a tolerance tied to the working precision.
+The periodic and twisted double products come from one kernel,
+`_double_product`, a double-staircase Schur determinant over the exact
+e-values times a prefactor from q^{2n} Q_n(1/q), and are checked by exact
+equality in Q(q).  The reflecting product and the component sums are
+checked numerically from certified roots, to 2^(40 - precision) relative;
+the recursion and the hypergeometric identities exactly, in `qfunctions`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,19 @@ from mpmath import mp
 from . import bethe
 from .asmcounts import asm_count, asm_ht, asm_v, n8
 from .exact import QINV, Cyclo, rat_to_str
-from .qfunctions import QPolynomial, elem_periodic, elem_reflecting, elem_twisted
+from .qfunctions import (
+    QPolynomial,
+    check_recursion_periodic,
+    elem_periodic,
+    elem_reflecting,
+    elem_twisted,
+    hyp_failures,
+    q_at_qinv,
+)
 from .symfunc import Partition, SymTable, schur_nk
 
 __all__ = [
+    "VERIFIERS",
     "VerificationReport",
     "groundstate_schur_det",
     "verify_periodic_product",
@@ -78,30 +88,36 @@ def _value_json(v, tolerance):
 def groundstate_schur_det(qp: QPolynomial) -> Fraction:
     """The Schur function of the double-staircase partition
     (2(n-1), 2(n-2), ..., 2) at the roots, as the Naegelsbach-Kostka
-    determinant of size 2(n-1) over the e-values of qp.  Shared by the
-    periodic and twisted verifiers, which use the identical matrix shape.
-    """
+    determinant of size 2(n-1) over the e-values of qp."""
     n = qp.n
     return schur_nk(Partition(range(2 * (n - 1), 0, -2)), SymTable("e", qp.evalues, n))
 
 
-def verify_periodic_product(n: int) -> VerificationReport:
-    """prod_{i != j} (1 + z_i + z_i z_j) over the periodic groundstate
-    roots equals A_n^3, via the exact prefactor-times-Schur reduction.
+def _double_product(qp: QPolynomial) -> Cyclo:
+    """prod_{i != j} (1 + z_i + z_i z_j) over the roots w of a closed-chain
+    Q_n, with z = (q - w) / (q w - 1), exactly in Q(q).
 
-    The sqrt(3) in the per-factor prefactor appears to the power n(n-1),
-    which is even, so the whole prefactor is rational with 3-exponent
-    n(n-1)/2; that integrality is asserted structurally before computing.
+    Since 1 - q + q^2 = 0, each factor is
+    (1 - 2q)(w_i - q^2 w_j) / ((q w_i - 1)(q w_j - 1)).  With
+    (1 - 2q)^2 = -3, (w_i - q^2 w_j)(w_j - q^2 w_i) =
+    -q^2 (w_i^2 + w_i w_j + w_j^2), whose product over i < j is the
+    double-staircase Schur function s_dd(w) (a_{3 delta}(w) = a_delta(w^3)),
+    prod_i (q w_i - 1) = (-q)^n Q_n(1/q) and q^{3n(n-1)} = 1, the product is
+    3^{n(n-1)/2} (q^{2n} Q_n(1/q))^{-2(n-1)} s_dd(w).  The boundary enters
+    only through Q_n.
     """
+    n = qp.n
+    return (Cyclo(3 ** (n * (n - 1) // 2)) * q_at_qinv(qp) ** (-2 * (n - 1))
+            * groundstate_schur_det(qp))
+
+
+def verify_periodic_product(n: int) -> VerificationReport:
+    """The periodic double product equals A_n^3; a value with a q part
+    is reported as unequal."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    assert (n * (n - 1)) % 2 == 0
-    pref = Fraction(3) ** (n * (n - 1) // 2)
-    per_factor = Fraction(1)
-    for j in range(1, n + 1):
-        per_factor *= Fraction(1, 4) * Fraction(3 * j - 1, 2 * j - 1) ** 2
-    pref *= per_factor ** (n - 1)
-    lhs = pref * groundstate_schur_det(elem_periodic(n))
+    value = _double_product(elem_periodic(n))
+    lhs = value.a if value.is_rational else value
     rhs = Fraction(asm_count(n)) ** 3
     return VerificationReport(
         conjecture="conj", n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs, method="exact"
@@ -109,52 +125,40 @@ def verify_periodic_product(n: int) -> VerificationReport:
 
 
 def verify_twisted_product(n: int) -> VerificationReport:
-    """The twisted double product equals q^{-(n-1)} A_n A_HT(2n-1),
-    exactly in Q(q).
-
-    The prefactor (4 q^{-1} 3^{n/2-1} prod ((3j-1)/(n+j))^2)^{n-1} is
-    rational times q^{-(n-1)}: the 3-exponent (n-1)(n-2)/2 is an integer
-    (asserted), and the phase collapses to a power of q^{-1} = 1 - q.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    assert ((n - 1) * (n - 2)) % 2 == 0
-    rational = Fraction(4) ** (n - 1) * Fraction(3) ** ((n - 1) * (n - 2) // 2)
-    for j in range(1, n + 1):
-        rational *= Fraction(3 * j - 1, n + j) ** (2 * (n - 1))
-    rational *= groundstate_schur_det(elem_twisted(n))
-    lhs = Cyclo(rational) * QINV ** (n - 1)
+    """The twisted double product equals q^{-(n-1)} A_n A_HT(2n-1)."""
+    lhs = _double_product(elem_twisted(n))
     rhs = Cyclo(asm_count(n) * asm_ht(2 * n - 1)) * QINV ** (n - 1)
     return VerificationReport(
         conjecture="conj1", n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs, method="exact"
     )
 
 
-def _numeric_tolerance(precision: int):
-    return mp.mpf(2) ** (40 - precision)
+def _numeric_report(conjecture: str, n: int, precision: int, lhs, rhs) -> VerificationReport:
+    """A numeric report: lhs and rhs are values or equal-length tuples, and
+    each component is equal when |l - r| <= 2^(40 - precision) |r|.  Call
+    it at the working precision of the values."""
+    tol = mp.mpf(2) ** (40 - precision)
+    pairs = zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]
+    return VerificationReport(
+        conjecture=conjecture,
+        n=n,
+        lhs=lhs,
+        rhs=rhs,
+        equal=all(abs(l - r) <= tol * abs(r) for l, r in pairs),
+        method="numeric",
+        precision_bits=precision,
+        tolerance=tol,
+    )
 
 
 def verify_reflecting_product(n: int, precision: int = 256) -> VerificationReport:
     """The reflecting double product over 2n variables equals
     A_V(2n+1)^2 N_8(2n)^4, checked numerically from certified roots."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     rs = bethe.solve_roots(elem_reflecting(n), precision)
     with mp.workprec(precision + bethe.GUARD_BITS):
         lhs = bethe.reflecting_double_product(rs)
         rhs = mp.mpf(asm_v(2 * n + 1)) ** 2 * mp.mpf(n8(2 * n)) ** 4
-        tol = _numeric_tolerance(precision)
-        equal = abs(lhs - rhs) <= tol * abs(rhs)
-    return VerificationReport(
-        conjecture="conj2",
-        n=n,
-        lhs=lhs,
-        rhs=rhs,
-        equal=equal,
-        method="numeric",
-        precision_bits=precision,
-        tolerance=tol,
-    )
+        return _numeric_report("conj2", n, precision, lhs, rhs)
 
 
 def verify_component_sums(n: int, precision: int = 256) -> VerificationReport:
@@ -164,18 +168,32 @@ def verify_component_sums(n: int, precision: int = 256) -> VerificationReport:
         raise ValueError("n must be >= 1")
     rs = bethe.solve_roots(elem_periodic(n), precision)
     with mp.workprec(precision + bethe.GUARD_BITS):
-        small = bethe.component_sum_small(rs)
-        large = bethe.component_sum_large(rs)
         a = asm_count(n)
-        tol = _numeric_tolerance(precision)
-        equal = abs(small - a) <= tol * a and abs(large - a * a) <= tol * a * a
+        lhs = (bethe.component_sum_small(rs), bethe.component_sum_large(rs))
+        return _numeric_report("sums", n, precision, lhs, (a, a * a))
+
+
+def _recursion(n: int, precision: int) -> VerificationReport:
     return VerificationReport(
-        conjecture="sums",
-        n=n,
-        lhs=(small, large),
-        rhs=(a, a * a),
-        equal=equal,
-        method="numeric",
-        precision_bits=precision,
-        tolerance=tol,
-    )
+        conjecture="recursion", n=n, lhs="poly", rhs="poly",
+        equal=check_recursion_periodic(n), method="exact")
+
+
+def _hyp(which: int, n: int) -> VerificationReport:
+    failures = hyp_failures(which, n)
+    return VerificationReport(
+        conjecture=f"hyp{which}", n=n, lhs=[list(f) for f in failures], rhs=[],
+        equal=not failures, method="exact")
+
+
+# name -> callable(n, precision); 'verify all' runs them in this order.  Each
+# entry looks its verifier up in the module globals, so a patched or traced one runs.
+VERIFIERS = {
+    "conj": lambda n, precision: verify_periodic_product(n),
+    "conj1": lambda n, precision: verify_twisted_product(n),
+    "conj2": lambda n, precision: verify_reflecting_product(n, precision),
+    "sums": lambda n, precision: verify_component_sums(n, precision),
+    "recursion": _recursion,
+    "hyp1": lambda n, precision: _hyp(1, n),
+    "hyp2": lambda n, precision: _hyp(2, n),
+}

@@ -36,13 +36,15 @@ TWIST_PHI = np.pi / 3
 # wavefunction of the L = 2 reflecting chain (see tests).
 BOUNDARY_FIELD = -1j * np.sqrt(3) / 4
 KRYLOV_DIM = 40  # Arnoldi basis size per restart
+ARNOLDI_TOL = 1e-13  # stop once ||H v - lambda v|| < ARNOLDI_TOL ||H||_inf
+ARNOLDI_MAX_RESTARTS = 200
 
 
 class ArnoldiError(ArithmeticError):
     """Restarted Arnoldi did not converge within its restart cap."""
 
 
-def default_sector(L: int, boundary: Boundary) -> int:
+def default_sector(L: int) -> int:
     """Down-spin sector holding the groundstate: n = floor(L/2)."""
     return L // 2
 
@@ -93,7 +95,7 @@ class SectorMatrix:
         return out
 
 
-def build_hamiltonian(L: int, boundary, n: int | None = None):
+def build_hamiltonian(L: int, boundary):
     """Sparse sector Hamiltonian
     H = -1/2 sum_bonds (sx sx + sy sy + Delta sz sz) (+ twist phase on the
     wrap bond, or boundary z-fields for the reflecting chain).
@@ -112,9 +114,7 @@ def build_hamiltonian(L: int, boundary, n: int | None = None):
     boundary = Boundary(boundary)
     if L > MAX_L:
         raise ValueError(f"L must be <= {MAX_L}")
-    if n is None:
-        n = default_sector(L, boundary)
-    basis = SpinBasis(L, n)
+    basis = SpinBasis(L, default_sector(L))
     rows, cols, values = [], [], []
     closed = boundary is not Boundary.REFLECTING
     bonds = [(j, (j + 1) % L) for j in range(L if closed else L - 1)]
@@ -169,7 +169,7 @@ def _arnoldi(h, start, size):
     return basis, hess
 
 
-def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
+def groundstate(h, shift_hint=None):
     """Eigenpair with the lowest real eigenvalue part of a `SectorMatrix`.
 
     Explicitly restarted Arnoldi from a fixed-seed random vector, which
@@ -178,18 +178,18 @@ def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
     current vector, diagonalizes the small Hessenberg matrix, and restarts from
     the Ritz vector with the lowest real part, or the one nearest
     shift_hint when a hint (e.g. the Bethe energy) is given.  It stops
-    once ||H v - lambda v|| < tol ||H||_inf for the unit vector v and its
-    Rayleigh quotient lambda, and raises ArnoldiError after max_iter
-    restarts.  The vector is normalized so its smallest-modulus
-    component is exactly 1.
+    once ||H v - lambda v|| < ARNOLDI_TOL ||H||_inf for the unit vector v
+    and its Rayleigh quotient lambda, and raises ArnoldiError after
+    ARNOLDI_MAX_RESTARTS restarts.  The vector is normalized so its
+    smallest-modulus component is exactly 1.
     """
     dim = h.shape[0]
     rng = np.random.default_rng(0)
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     vec /= np.linalg.norm(vec)
-    bound = tol * h.norm_inf
+    bound = ARNOLDI_TOL * h.norm_inf
     residual = np.inf
-    for _ in range(max_iter):
+    for _ in range(ARNOLDI_MAX_RESTARTS):
         basis, hess = _arnoldi(h, vec, min(KRYLOV_DIM, dim))
         ritz, coords = np.linalg.eig(hess)
         if shift_hint is None:
@@ -205,7 +205,7 @@ def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
             break
     else:
         raise ArnoldiError(
-            f"Arnoldi did not converge in {max_iter} restarts "
+            f"Arnoldi did not converge in {ARNOLDI_MAX_RESTARTS} restarts "
             f"(residual {residual:.3g})")
     nz = np.flatnonzero(np.abs(vec) > 0)
     smallest = nz[np.argmin(np.abs(vec[nz]))]
@@ -213,11 +213,10 @@ def groundstate(h, shift_hint=None, tol: float = 1e-13, max_iter: int = 200):
 
 
 def rs_observables(vec):
-    """Ratio of largest to smallest component modulus, the component sum,
-    and the sum of squared components."""
+    """Ratio of largest to smallest component modulus, and the component
+    sum."""
     mags = np.abs(vec)
     return {
         "ratio": float(mags.max() / mags.min()),
         "sum": complex(vec.sum()),
-        "sum_sq": complex((vec**2).sum()),
     }

@@ -21,7 +21,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .exact import (
-    QINV,
     Cyclo,
     ExactDivisionError,
     Poly,
@@ -227,10 +226,14 @@ def check_recursion_periodic(n: int) -> bool:
     return lhs == rhs
 
 
-def q_at_qinv(n: int) -> Cyclo:
-    """q^{2n} Q_n(1/q) for the periodic Q, evaluated exactly in Q(q)."""
-    qp = elem_periodic(n)
-    return Cyclo(0, 1) ** (2 * n) * qp.poly()(QINV)
+def q_at_qinv(qp: QPolynomial) -> Cyclo:
+    """q^{2n} Q_n(1/q) = sum_l (-1)^l e_l q^{n+l} = sum_l e_l q^{n+4l}
+    (-1 = q^3), exactly in Q(q): q^6 = 1, so the e-values are summed by
+    n + 4l mod 6 and q^0..q^5 = 1, q, q - 1, -1, -q, 1 - q."""
+    s = [0] * 6
+    for l, e in enumerate(qp.evalues):
+        s[(qp.n + 4 * l) % 6] += e
+    return Cyclo(s[0] - s[2] - s[3] + s[5], s[1] + s[2] - s[4] - s[5])
 
 
 def qinv_product_value(n: int) -> Fraction:
@@ -252,7 +255,7 @@ def check_special_values(n: int) -> bool:
     qp = elem_periodic(n)
     if qp.poly()(Fraction(0)) != (-1) ** n:
         return False
-    s = q_at_qinv(n)
+    s = q_at_qinv(qp)
     if not s.is_rational or s.rational() != qinv_product_value(n):
         return False
     lhs = Fraction(3) ** n / s.rational() ** 2

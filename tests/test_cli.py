@@ -134,8 +134,8 @@ class TestDiag:
         assert abs(float(data["ratio"]) - 218348) < 1e-8 * 218348
 
     def test_arnoldi_nonconvergence_exits_numeric(self, capsys, monkeypatch):
-        groundstate = ed.groundstate
-        monkeypatch.setattr(ed, "groundstate", lambda h: groundstate(h, tol=0.0, max_iter=3))
+        monkeypatch.setattr(ed, "ARNOLDI_TOL", 0.0)
+        monkeypatch.setattr(ed, "ARNOLDI_MAX_RESTARTS", 3)
         code = run(["diag", "--L", "5", "--boundary", "periodic"])
         assert code == EXIT_NUMERIC
         assert "Arnoldi did not converge in 3 restarts" in capsys.readouterr().err
@@ -149,6 +149,14 @@ class TestSchur:
         )
         assert code == EXIT_OK
         assert json.loads(out)["schur"] == "7"
+
+    def test_fewer_evalues_than_nvars_is_usage_error(self, capsys):
+        # e_2 and e_3 are missing; they must not be taken as 0
+        code = run(["schur", "--partition", "2,2", "--evalues", "1,11/5", "--nvars", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "--nvars 3 needs e_0..e_3" in captured.err
 
     def test_staircase_from_periodic_evalues(self, capsys):
         code, out = run_capture(

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from betheq import bethe, cli, conjectures
 from betheq.asmcounts import asm_count, asm_ht, asm_v, n8
 from betheq.conjectures import (
     VerificationReport,
@@ -16,7 +17,73 @@ from betheq.conjectures import (
     verify_twisted_product,
 )
 from betheq.exact import QINV, Cyclo
-from betheq.qfunctions import elem_periodic
+from betheq.qfunctions import Boundary, elem_for, elem_periodic
+
+
+def periodic_prefactor(n):
+    """The periodic prefactor as transcribed from the paper:
+    3^{n(n-1)/2} prod_j [(1/4) ((3j-1)/(2j-1))^2]^{n-1}."""
+    per_factor = Fraction(1)
+    for j in range(1, n + 1):
+        per_factor *= Fraction(1, 4) * Fraction(3 * j - 1, 2 * j - 1) ** 2
+    return Cyclo(Fraction(3) ** (n * (n - 1) // 2) * per_factor ** (n - 1))
+
+
+def twisted_prefactor(n):
+    """The twisted prefactor as transcribed from the paper:
+    4^{n-1} 3^{(n-1)(n-2)/2} prod_j ((3j-1)/(n+j))^{2(n-1)} q^{-(n-1)}."""
+    rational = Fraction(4) ** (n - 1) * Fraction(3) ** ((n - 1) * (n - 2) // 2)
+    for j in range(1, n + 1):
+        rational *= Fraction(3 * j - 1, n + j) ** (2 * (n - 1))
+    return Cyclo(rational) * QINV ** (n - 1)
+
+
+class TestDoubleProductKernel:
+    @pytest.mark.parametrize("boundary, reference", [
+        (Boundary.PERIODIC, periodic_prefactor),
+        (Boundary.TWISTED, twisted_prefactor),
+    ])
+    def test_prefactor_matches_transcribed_form(self, monkeypatch, boundary, reference):
+        # with the Schur factor set to 1 the kernel returns its prefactor
+        monkeypatch.setattr(conjectures, "groundstate_schur_det", lambda qp: 1)
+        for n in range(1, 31):
+            assert conjectures._double_product(elem_for(boundary, n)) == reference(n), n
+
+    @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.TWISTED])
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_matches_product_over_roots(self, boundary, n):
+        qp = elem_for(boundary, n)
+        rs = bethe.solve_roots(qp, 128)
+        with mp.workprec(128):
+            z = [bethe.to_z(w, 128) for w in rs.roots]
+            direct = mp.fprod(1 + z[i] + z[i] * z[j]
+                              for i in range(n) for j in range(n) if i != j)
+            exact = conjectures._double_product(qp).embed(128)
+            assert abs(direct - exact) < mp.mpf(2) ** -100 * abs(exact)
+
+    def test_periodic_value_with_q_part_is_unequal(self, monkeypatch, capsys):
+        monkeypatch.setattr(conjectures, "_double_product", lambda qp: Cyclo(343, 1))
+        rep = verify_periodic_product(3)
+        assert rep.equal is False
+        assert rep.to_json()["lhs"] == {"a": "343", "b": "1"}
+        assert cli.run(["verify", "conj", "--n", "3"]) == cli.EXIT_FAIL
+        assert json.loads(capsys.readouterr().out)["equal"] is False
+
+
+class TestRegistry:
+    def test_cli_runs_the_conjectures_registry(self):
+        assert cli.VERIFIERS is conjectures.VERIFIERS
+
+    @pytest.mark.parametrize("name, verifier", [
+        ("conj", "verify_periodic_product"),
+        ("conj1", "verify_twisted_product"),
+        ("conj2", "verify_reflecting_product"),
+        ("sums", "verify_component_sums"),
+    ])
+    def test_entries_call_through_module_globals(self, monkeypatch, name, verifier):
+        # a tracer or a test that replaces the module global must see the call
+        monkeypatch.setattr(conjectures, verifier, lambda *args: args)
+        assert conjectures.VERIFIERS[name](3, 64)[0] == 3
 
 
 class TestPeriodicProduct:

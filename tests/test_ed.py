@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 import betheq.bethe as bethe
+import betheq.ed as ed
 from betheq.asmcounts import asm_count
 from betheq.ed import (
     MAX_L,
@@ -34,8 +35,8 @@ class TestBasis:
             SpinBasis(4, 5)
 
     def test_default_sector(self):
-        assert default_sector(7, Boundary.PERIODIC) == 3
-        assert default_sector(6, Boundary.TWISTED) == 3
+        assert default_sector(7) == 3
+        assert default_sector(6) == 3
 
 
 class TestHamiltonian:
@@ -168,10 +169,12 @@ class TestArnoldi:
         assert abs(val - hinted_val) < 1e-12
         assert same_up_to_scale(hinted_vec, vec) < 1e-10
 
-    def test_forced_nonconvergence(self):
+    def test_forced_nonconvergence(self, monkeypatch):
         _, h = build_hamiltonian(6, Boundary.REFLECTING)
+        monkeypatch.setattr(ed, "ARNOLDI_TOL", 0.0)
+        monkeypatch.setattr(ed, "ARNOLDI_MAX_RESTARTS", 3)
         with pytest.raises(ArithmeticError) as info:
-            groundstate(h, tol=0.0, max_iter=3)
+            groundstate(h)
         message = str(info.value)
         assert len(message) < 80
         assert "3 restarts" in message

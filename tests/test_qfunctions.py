@@ -211,9 +211,16 @@ class TestSpecialValues:
 
     def test_value_at_qinv_is_rational(self):
         for n in range(1, 8):
-            s = q_at_qinv(n)
+            s = q_at_qinv(elem_periodic(n))
             assert s.is_rational
             assert s.rational() == qinv_product_value(n)
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_value_at_qinv_matches_horner(self, boundary):
+        # reference: Horner's rule for Q_n at 1/q, times q^{2n}
+        for n in range(1, 13):
+            qp = elem_for(boundary, n)
+            assert q_at_qinv(qp) == Q ** (2 * n) * qp.poly()(QINV)
 
     def test_qinv_product_small(self):
         assert qinv_product_value(1) == Fraction(1)
