@@ -1,12 +1,12 @@
 """Exact Bethe-root machinery for the XXZ chain at Delta = -1/2.
 
-Q-polynomials for periodic, twisted and reflecting boundaries; symmetric
-function and lambda-determinant toolkits; alternating-sign-matrix counts;
-exact and high-precision verification of the product identities linking
-the two; and a small exact-diagonalization oracle.
+Q-polynomials for periodic, twisted and reflecting boundaries; Schur
+values from their exact e-values; alternating-sign-matrix counts; exact
+and high-precision verification of the product identities linking the
+two; and a small exact-diagonalization oracle.
 """
 
-from .exact import Cyclo, Poly, Q, QINV, falling_binom, gen_binom
+from .exact import Cyclo, Poly, QINV, falling_binom, gen_binom
 from .qfunctions import (
     Boundary,
     QPolynomial,
@@ -16,8 +16,8 @@ from .qfunctions import (
     elem_twisted,
 )
 from .asmcounts import asm_count, asm_ht, asm_v, n8
-from .symfunc import Partition, SymTable, schur_jt, schur_nk
-from .detlab import ASMMatrix, asm_enumerate, det_exact, lambda_det_dodgson
+from .symfunc import Partition, SymTable, schur_nk
+from .detlab import det_exact
 from .bethe import RootSet, solve_roots
 from .conjectures import (
     VerificationReport,
@@ -32,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cyclo",
     "Poly",
-    "Q",
     "QINV",
     "falling_binom",
     "gen_binom",
@@ -49,11 +48,7 @@ __all__ = [
     "Partition",
     "SymTable",
     "schur_nk",
-    "schur_jt",
-    "ASMMatrix",
-    "asm_enumerate",
     "det_exact",
-    "lambda_det_dodgson",
     "RootSet",
     "solve_roots",
     "VerificationReport",

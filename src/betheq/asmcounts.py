@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-__all__ = ["asm_count", "asm_count_alt", "asm_v", "n8", "asm_ht"]
+__all__ = ["asm_count", "asm_v", "n8", "asm_ht"]
 
 
 def _as_int(x: Fraction, what: str) -> int:
@@ -27,16 +27,6 @@ def asm_count(n: int) -> int:
     for j in range(n):
         out *= Fraction(factorial(3 * j + 1), factorial(n + j))
     return _as_int(out, f"A({n})")
-
-
-def asm_count_alt(n: int) -> int:
-    """The same count via the double product prod (n+i+j-1)/(2i+j-1)
-    over 1 <= i <= j <= n; agreement with asm_count is asserted in tests."""
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            out *= Fraction(n + i + j - 1, 2 * i + j - 1)
-    return _as_int(out, f"A({n}) (double product)")
 
 
 def asm_v(m: int) -> int:

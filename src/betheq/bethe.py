@@ -30,8 +30,6 @@ __all__ = [
     "NonConvergenceError",
     "solve_roots",
     "bethe_residual",
-    "to_z",
-    "to_w",
     "energy",
     "component_sum_small",
     "component_sum_large",
@@ -71,25 +69,6 @@ def _qphase():
 def _z(w, q):
     """z = (q - w)/(q w - 1) at the caller's working precision."""
     return (q - w) / (q * w - 1)
-
-
-def to_z(w, prec: int = 53):
-    """Variable change z = (q - w)/(q w - 1); pole at w = 1/q."""
-    with mp.workprec(prec):
-        q = _qphase()
-        if q * w - 1 == 0:
-            raise ZeroDivisionError("w = 1/q is a pole of the variable change")
-        return _z(w, q)
-
-
-def to_w(z, prec: int = 53):
-    """Inverse change w = (z + q)/(q z + 1); pole at z = -1/q."""
-    with mp.workprec(prec):
-        q = _qphase()
-        den = q * z + 1
-        if den == 0:
-            raise ZeroDivisionError("z = -1/q is a pole of the variable change")
-        return (z + q) / den
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,7 @@ def _cmd_schur(args) -> int:
     nvars = args.nvars if args.nvars is not None else len(evals) - 1
     if len(evals) < nvars + 1:
         raise ValueError(f"--nvars {nvars} needs e_0..e_{nvars}, got {len(evals)} e-values")
-    table = symfunc.SymTable("e", evals, nvars)
+    table = symfunc.SymTable(evals, nvars)
     value = symfunc.schur_nk(symfunc.Partition(parts), table)
     _emit({"partition": parts, "schur": rat_to_str(value)}, args.format)
     return EXIT_OK
@@ -248,6 +248,11 @@ def run(argv=None) -> int:
         print("error: verify requires --n (or use 'verify all --max-n K')",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "verify":
+        flag, value = ("--max-n", args.max_n) if args.which == "all" else ("--n", args.n)
+        if value < 1:
+            print(f"error: verify needs {flag} >= 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except (bethe.NonConvergenceError, ed.ArnoldiError) as exc:

@@ -90,7 +90,7 @@ def groundstate_schur_det(qp: QPolynomial) -> Fraction:
     (2(n-1), 2(n-2), ..., 2) at the roots, as the Naegelsbach-Kostka
     determinant of size 2(n-1) over the e-values of qp."""
     n = qp.n
-    return schur_nk(Partition(range(2 * (n - 1), 0, -2)), SymTable("e", qp.evalues, n))
+    return schur_nk(Partition(range(2 * (n - 1), 0, -2)), SymTable(qp.evalues, n))
 
 
 def _double_product(qp: QPolynomial) -> Cyclo:

@@ -36,7 +36,7 @@ TWIST_PHI = np.pi / 3
 # wavefunction of the L = 2 reflecting chain (see tests).
 BOUNDARY_FIELD = -1j * np.sqrt(3) / 4
 KRYLOV_DIM = 40  # Arnoldi basis size per restart
-ARNOLDI_TOL = 1e-13  # stop once ||H v - lambda v|| < ARNOLDI_TOL ||H||_inf
+ARNOLDI_TOL = 1e-13  # stop once ||H v - lambda v|| <= ARNOLDI_TOL ||H||_inf
 ARNOLDI_MAX_RESTARTS = 200
 
 
@@ -103,7 +103,7 @@ def build_hamiltonian(L: int, boundary):
     Returns (basis, H) with H a `SectorMatrix`; twisted and reflecting H
     are non-Hermitian but have real spectra.
 
-    L is capped at MAX_L, the largest size measured to work.  Build plus
+    L runs from 1 to MAX_L, the largest size measured to work.  Build plus
     `groundstate` without a hint, in a fresh process on one core of a
     shared 2-vCPU host, took (peak process RSS, of which about 33 MB is
     the interpreter with numpy and betheq loaded):
@@ -112,8 +112,8 @@ def build_hamiltonian(L: int, boundary):
     reflecting L = 18 (dim 48620) 3.4 s, 139 MB.
     """
     boundary = Boundary(boundary)
-    if L > MAX_L:
-        raise ValueError(f"L must be <= {MAX_L}")
+    if not 1 <= L <= MAX_L:
+        raise ValueError(f"L must be in 1..{MAX_L}, got {L}")
     basis = SpinBasis(L, default_sector(L))
     rows, cols, values = [], [], []
     closed = boundary is not Boundary.REFLECTING
@@ -178,8 +178,9 @@ def groundstate(h, shift_hint=None):
     current vector, diagonalizes the small Hessenberg matrix, and restarts from
     the Ritz vector with the lowest real part, or the one nearest
     shift_hint when a hint (e.g. the Bethe energy) is given.  It stops
-    once ||H v - lambda v|| < ARNOLDI_TOL ||H||_inf for the unit vector v
-    and its Rayleigh quotient lambda, and raises ArnoldiError after
+    once ||H v - lambda v|| <= ARNOLDI_TOL ||H||_inf for the unit vector v
+    and its Rayleigh quotient lambda (non-strict, so an exact eigenvector
+    of a zero matrix is accepted), and raises ArnoldiError after
     ARNOLDI_MAX_RESTARTS restarts.  The vector is normalized so its
     smallest-modulus component is exactly 1.
     """
@@ -201,7 +202,7 @@ def groundstate(h, shift_hint=None):
         hv = h @ vec
         val = np.vdot(vec, hv)
         residual = np.linalg.norm(hv - val * vec)
-        if residual < bound:
+        if residual <= bound:
             break
     else:
         raise ArnoldiError(

@@ -17,7 +17,6 @@ __all__ = [
     "Fraction",
     "Cyclo",
     "Poly",
-    "Q",
     "QINV",
     "ExactDivisionError",
     "gen_binom",
@@ -221,7 +220,6 @@ class Cyclo:
         return {"a": rat_to_str(self.a), "b": rat_to_str(self.b)}
 
 
-Q = Cyclo(0, 1)
 QINV = Cyclo(1, -1)
 
 

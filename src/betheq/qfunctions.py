@@ -8,9 +8,8 @@ Q_n: a sum of binomially weighted powers of w over a power of (1 + w), or,
 for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  One kernel
 builds all three coefficient lists by dividing that numerator exactly by
 the denominator, so a wrong term leaves a remainder and raises instead of
-giving a wrong polynomial.  The module also evaluates the rational forms
-at exact points and verifies the recursion, special values and the
-binomial summation identities behind the closed forms.
+giving a wrong polynomial.  The module also verifies the recursion and
+the binomial summation identities behind the closed forms.
 """
 
 from __future__ import annotations
@@ -35,11 +34,8 @@ __all__ = [
     "elem_periodic",
     "elem_twisted",
     "elem_reflecting",
-    "q_rational_eval",
     "check_recursion_periodic",
     "q_at_qinv",
-    "qinv_product_value",
-    "check_special_values",
     "verify_hyp_identity",
     "hyp_failures",
     "chebyshev_expand",
@@ -183,31 +179,6 @@ def elem_for(boundary: Boundary, n: int) -> QPolynomial:
     return elem_reflecting(n)
 
 
-def q_rational_eval(boundary: Boundary, n: int, w):
-    """Evaluate the closed rational form of Q_n at an exact point w.
-
-    Works over any exact field containing the coefficients (Fraction, or
-    Cyclo for points in Q(q)); an int point is taken as a Fraction, so
-    negative powers stay exact.  Poles: w = -1 for periodic and twisted;
-    w in {0, 1, -1} for reflecting.
-    """
-    boundary = Boundary(boundary)
-    if isinstance(w, int):
-        w = Fraction(w)
-    terms, base, power, c = _rational_form(boundary, n)
-    if boundary is Boundary.REFLECTING:
-        if w == 0 or w == 1 or w == -1:
-            raise ZeroDivisionError("w in {0, 1, -1} is a pole of the reflecting rational form")
-        num = sum(a * (w**j - w**-j) for a, j in terms)
-        den = (w - 1 / w) * (base + w + 1 / w) ** power
-    else:
-        den = (base + w) ** power
-        if den == 0:
-            raise ZeroDivisionError(f"w = -1 is a pole of the {boundary.value} rational form")
-        num = sum(a * w**j for a, j in terms)
-    return num / den / c
-
-
 def check_recursion_periodic(n: int) -> bool:
     """Exact polynomial identity
     (w+1)^2 (3n+2) Q_{n+1} = 3 (w^3-1)(2n+1) Q_n - (w^2-w+1)^2 (3n+1) Q_{n-1}
@@ -234,35 +205,6 @@ def q_at_qinv(qp: QPolynomial) -> Cyclo:
     for l, e in enumerate(qp.evalues):
         s[(qp.n + 4 * l) % 6] += e
     return Cyclo(s[0] - s[2] - s[3] + s[5], s[1] + s[2] - s[4] - s[5])
-
-
-def qinv_product_value(n: int) -> Fraction:
-    """The simple product 2^n prod (2j-1)/(3j-1) that q^{2n} Q_n(1/q) equals."""
-    out = Fraction(2) ** n
-    for j in range(1, n + 1):
-        out *= Fraction(2 * j - 1, 3 * j - 1)
-    return out
-
-
-def check_special_values(n: int) -> bool:
-    """Q_n(0) = (-1)^n, the q^{2n} Q_n(1/q) product formula, and the
-    corollary prod (1 + z_j + z_j^2) = (3/4)^n prod ((3j-1)/(2j-1))^2.
-
-    The corollary follows because 1 + z + z^2 = -3 q w / (q w - 1)^2 under
-    the variable change, so the product over the roots collapses to
-    3^n / (q^{2n} Q_n(1/q))^2 using e_n = 1.
-    """
-    qp = elem_periodic(n)
-    if qp.poly()(Fraction(0)) != (-1) ** n:
-        return False
-    s = q_at_qinv(qp)
-    if not s.is_rational or s.rational() != qinv_product_value(n):
-        return False
-    lhs = Fraction(3) ** n / s.rational() ** 2
-    rhs = Fraction(3, 4) ** n
-    for j in range(1, n + 1):
-        rhs *= Fraction(3 * j - 1, 2 * j - 1) ** 2
-    return lhs == rhs
 
 
 def _hyp_sides(which: int, n: int):

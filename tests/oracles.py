@@ -1,0 +1,436 @@
+"""Reference implementations the tests compare betheq against.
+
+None of these is on a path the `betheq` CLI or `conjectures.VERIFIERS`
+takes; they are independent routes to the same values: Schur functions
+from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
+its ASM-sum expansion, a second A_n formula, a point evaluator for the
+closed rational form of Q_n and the special-value check.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from mpmath import mp
+
+from betheq.asmcounts import _as_int
+from betheq.bethe import _qphase, _z
+from betheq.detlab import _check_square, det_exact
+from betheq.exact import Cyclo
+from betheq.qfunctions import Boundary, _rational_form, elem_periodic, q_at_qinv
+from betheq.symfunc import Partition, SymTable, _jt_det
+
+Q = Cyclo(0, 1)
+
+
+# --- symmetric functions ---------------------------------------------------
+
+
+class HTable:
+    """Values h_0..h_N of the complete symmetric functions.
+
+    Negative indices give 0; an index past the table raises IndexError,
+    never a silent 0 (h_k does not vanish beyond the variable count).
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def val(self, k: int):
+        if k < 0:
+            return 0
+        if k >= len(self.values):
+            raise IndexError(
+                f"h-table holds indices up to {len(self.values) - 1}, need {k}"
+            )
+        return self.values[k]
+
+
+def elem_brute(variables) -> SymTable:
+    """e-table of the given variables: coefficients of prod (1 + w_j t),
+    built by incremental polynomial multiplication."""
+    coeffs = [1]
+    for w in variables:
+        nxt = [1]
+        for k in range(1, len(coeffs) + 1):
+            prev = coeffs[k] if k < len(coeffs) else 0
+            nxt.append(prev + coeffs[k - 1] * w)
+        coeffs = nxt
+    return SymTable(coeffs, len(coeffs) - 1)
+
+
+def complete_from_elem(e: SymTable, k: int):
+    """h_k from an e-table via the duality determinant det(e_{1-i+j})."""
+    if k < 0:
+        return 0
+    return _jt_det((1,) * k, e)
+
+
+def elem_from_complete(h: HTable, k: int):
+    """e_k from an h-table via det(h_{1-i+j}); the dual direction."""
+    if k < 0:
+        return 0
+    return _jt_det((1,) * k, h)
+
+
+def complete_table(e: SymTable, upto: int) -> HTable:
+    """h-table with entries h_0..h_upto derived from an e-table."""
+    return HTable([complete_from_elem(e, k) for k in range(upto + 1)])
+
+
+def schur_jt(p: Partition, h: HTable):
+    """Schur value from h-values: the Jacobi-Trudi determinant
+    det(h_{mu_i - i + j}) of size len(mu)."""
+    return _jt_det(p.parts, h)
+
+
+def schur_tableaux(p: Partition, variables):
+    """Schur value as the sum over semistandard tableaux of shape p with
+    entries in 1..len(variables): rows weakly increasing, columns strictly
+    increasing."""
+    variables = list(variables)
+    n = len(variables)
+    shape = p.parts
+    if not shape:
+        return 1
+    if len(shape) > n:
+        return 0 * variables[0] if n else 0
+    total = 0
+    rows = []
+
+    def fill_row(r):
+        nonlocal total
+        if r == len(shape):
+            term = 1
+            for row in rows:
+                for v in row:
+                    term = term * variables[v - 1]
+            total = total + term
+            return
+        width = shape[r]
+        row = [0] * width
+
+        def fill_cell(c):
+            if c == width:
+                rows.append(tuple(row))
+                fill_row(r + 1)
+                rows.pop()
+                return
+            lo = row[c - 1] if c > 0 else 1
+            if r > 0:
+                lo = max(lo, rows[r - 1][c] + 1)
+            for v in range(lo, n + 1):
+                row[c] = v
+                fill_cell(c + 1)
+
+        fill_cell(0)
+
+    fill_row(0)
+    return total
+
+
+def schur_vandermonde(p: Partition, variables):
+    """Schur value as the ratio det(w_i^{n-j+mu_j}) / det(w_i^{n-j}).
+
+    Variables must be pairwise distinct; with a repeat the denominator
+    determinant vanishes and a determinantal identity must be used instead.
+    """
+    variables = list(variables)
+    n = len(variables)
+    mu = list(p.parts) + [0] * (n - len(p.parts))
+    if len(mu) > n:
+        raise ValueError(f"partition {p!r} has more parts than variables")
+    den = det_exact(
+        [[variables[i] ** (n - 1 - j) for j in range(n)] for i in range(n)]
+    )
+    if den == 0:
+        raise ZeroDivisionError("repeated variable: Vandermonde denominator is singular")
+    num = det_exact(
+        [[variables[i] ** (n - 1 - j + mu[j]) for j in range(n)] for i in range(n)]
+    )
+    return num / den
+
+
+def monomial_sym(p: Partition, variables):
+    """Monomial symmetric function: sum over distinct permutations of the
+    exponent vector padded with zeros."""
+    variables = list(variables)
+    n = len(variables)
+    if len(p.parts) > n:
+        return 0 * variables[0] if n else 0
+    expo = list(p.parts) + [0] * (n - len(p.parts))
+    total = 0
+    for perm in _orderings(expo):
+        term = 1
+        for w, k in zip(variables, perm):
+            term = term * w**k
+        total = total + term
+    return total
+
+
+def _orderings(multiset):
+    """Each distinct ordering of a multiset, exactly once."""
+    if not multiset:
+        yield ()
+        return
+    for k in sorted(set(multiset)):
+        rest = list(multiset)
+        rest.remove(k)
+        for tail in _orderings(rest):
+            yield (k,) + tail
+
+
+# --- the lambda-determinant and alternating sign matrices -----------------
+
+
+class CondensationSingularError(ArithmeticError):
+    """An interior divisor vanished during Dodgson condensation."""
+
+
+def lambda_det_dodgson(m, lam):
+    """The lambda-determinant of a square matrix by Dodgson condensation.
+
+    x[k][i][j] = (x[k-1][i][j] x[k-1][i+1][j+1]
+                  + lam * x[k-1][i+1][j] x[k-1][i][j+1]) / y[k-1][i][j]
+    with y the interior of the previous x.  For lam = -1 this is the
+    ordinary determinant.  A vanishing interior divisor raises
+    CondensationSingularError; callers fall back to the ASM sum (small n)
+    or det_exact at lam = -1.
+    """
+    n = _check_square(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    x = [list(row) for row in m]
+    y = [[1] * (n - 1) for _ in range(n - 1)]
+    for k in range(2, n + 1):
+        size = n - k + 1
+        nx = [[None] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                div = y[i][j]
+                if div == 0:
+                    raise CondensationSingularError(
+                        f"zero interior divisor at step {k}, position ({i}, {j})"
+                    )
+                num = x[i][j] * x[i + 1][j + 1] + lam * x[i + 1][j] * x[i][j + 1]
+                nx[i][j] = num / div
+        y = [[x[i + 1][j + 1] for j in range(size - 1)] for i in range(size - 1)]
+        x = nx
+    return x[0][0]
+
+
+@dataclass(frozen=True)
+class ASMMatrix:
+    """An alternating sign matrix with its inversion and minus-one counts."""
+
+    entries: tuple
+    inversion_number: int
+    num_neg: int
+
+    @classmethod
+    def from_entries(cls, entries) -> "ASMMatrix":
+        entries = tuple(tuple(row) for row in entries)
+        _validate_asm(entries)
+        inv = sum(
+            entries[i][j] * entries[k][l]
+            for i in range(len(entries))
+            for j in range(len(entries))
+            if entries[i][j]
+            for k in range(i + 1, len(entries))
+            for l in range(j)
+            if entries[k][l]
+        )
+        neg = sum(1 for row in entries for x in row if x == -1)
+        return cls(entries, inv, neg)
+
+
+def _validate_asm(entries):
+    n = len(entries)
+    for lines in (entries, tuple(zip(*entries))):
+        for line in lines:
+            if len(line) != n:
+                raise ValueError("ASM must be square")
+            nz = [x for x in line if x != 0]
+            if sum(line) != 1 or not nz or nz[0] != 1 or nz[-1] != 1:
+                raise ValueError(f"invalid ASM line {line}")
+            if any(nz[i] == nz[i + 1] for i in range(len(nz) - 1)):
+                raise ValueError(f"signs do not alternate in {line}")
+            if any(x not in (-1, 0, 1) for x in line):
+                raise ValueError(f"entries must be in -1, 0, 1: {line}")
+
+
+def asm_enumerate(n: int):
+    """All n x n alternating sign matrices, via monotone-triangle extension.
+
+    The state after row i is the set of columns with partial sum 1; valid
+    successive states interlace weakly.
+    """
+    if n == 0:
+        return []
+    out = []
+    rows = []
+
+    def extend(prev):
+        i = len(rows) + 1
+        if i > n:
+            out.append(ASMMatrix.from_entries(rows))
+            return
+        for nxt in _interlacing_supersets(prev, n):
+            row = tuple((1 if c in nxt else 0) - (1 if c in prev else 0) for c in range(n))
+            rows.append(row)
+            extend(nxt)
+            rows.pop()
+
+    extend(frozenset())
+    return out
+
+
+def _interlacing_supersets(prev, n):
+    """Sorted column sets b with |b| = |prev| + 1 weakly interlacing prev:
+    b_1 <= a_1 <= b_2 <= a_2 <= ... <= b_{k+1}."""
+    a = sorted(prev)
+    k = len(a)
+
+    def rec(j, lo, acc):
+        if j == k + 1:
+            yield frozenset(acc)
+            return
+        hi = a[j] if j < k else n - 1
+        lo2 = max(lo, a[j - 1] if j > 0 else 0)
+        for b in range(lo2, hi + 1):
+            acc.append(b)
+            yield from rec(j + 1, b + 1, acc)
+            acc.pop()
+
+    yield from rec(0, 0, [])
+
+
+def lambda_det_asm_sum(m, lam):
+    """lambda-determinant as a sum over alternating sign matrices:
+    sum over A of lam^I(A) (1 + 1/lam)^N(A) prod m_ij^{a_ij}.
+
+    Requires lam != 0 and invertible entries wherever a_ij = -1.
+    """
+    n = _check_square(m)
+    if n == 0:
+        return 1
+    if lam == 0:
+        raise ZeroDivisionError("lambda must be nonzero in the ASM expansion")
+    one_plus = 1 + _invert(lam)
+    total = 0
+    for asm in asm_enumerate(n):
+        term = lam**asm.inversion_number * one_plus**asm.num_neg
+        for i in range(n):
+            for j in range(n):
+                a = asm.entries[i][j]
+                if a == 1:
+                    term = term * m[i][j]
+                elif a == -1:
+                    term = term * _invert(m[i][j])
+        total = total + term
+    return total
+
+
+def _invert(x):
+    if x == 0:
+        raise ZeroDivisionError("entry raised to -1 is zero")
+    if isinstance(x, int):
+        return Fraction(1, x)
+    return 1 / x
+
+
+# --- ASM counts -------------------------------------------------------------
+
+
+def asm_count_alt(n: int) -> int:
+    """The same count via the double product prod (n+i+j-1)/(2i+j-1)
+    over 1 <= i <= j <= n; agreement with asm_count is asserted in tests."""
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            out *= Fraction(n + i + j - 1, 2 * i + j - 1)
+    return _as_int(out, f"A({n}) (double product)")
+
+
+# --- the variable change w <-> z --------------------------------------------
+
+
+def to_z(w, prec: int = 53):
+    """Variable change z = (q - w)/(q w - 1); pole at w = 1/q."""
+    with mp.workprec(prec):
+        q = _qphase()
+        if q * w - 1 == 0:
+            raise ZeroDivisionError("w = 1/q is a pole of the variable change")
+        return _z(w, q)
+
+
+def to_w(z, prec: int = 53):
+    """Inverse change w = (z + q)/(q z + 1); pole at z = -1/q."""
+    with mp.workprec(prec):
+        q = _qphase()
+        den = q * z + 1
+        if den == 0:
+            raise ZeroDivisionError("z = -1/q is a pole of the variable change")
+        return (z + q) / den
+
+
+# --- Q-polynomials ----------------------------------------------------------
+
+
+def q_rational_eval(boundary: Boundary, n: int, w):
+    """Evaluate the closed rational form of Q_n at an exact point w.
+
+    Works over any exact field containing the coefficients (Fraction, or
+    Cyclo for points in Q(q)); an int point is taken as a Fraction, so
+    negative powers stay exact.  Poles: w = -1 for periodic and twisted;
+    w in {0, 1, -1} for reflecting.
+    """
+    boundary = Boundary(boundary)
+    if isinstance(w, int):
+        w = Fraction(w)
+    terms, base, power, c = _rational_form(boundary, n)
+    if boundary is Boundary.REFLECTING:
+        if w == 0 or w == 1 or w == -1:
+            raise ZeroDivisionError("w in {0, 1, -1} is a pole of the reflecting rational form")
+        num = sum(a * (w**j - w**-j) for a, j in terms)
+        den = (w - 1 / w) * (base + w + 1 / w) ** power
+    else:
+        den = (base + w) ** power
+        if den == 0:
+            raise ZeroDivisionError(f"w = -1 is a pole of the {boundary.value} rational form")
+        num = sum(a * w**j for a, j in terms)
+    return num / den / c
+
+
+def qinv_product_value(n: int) -> Fraction:
+    """The simple product 2^n prod (2j-1)/(3j-1) that q^{2n} Q_n(1/q) equals."""
+    out = Fraction(2) ** n
+    for j in range(1, n + 1):
+        out *= Fraction(2 * j - 1, 3 * j - 1)
+    return out
+
+
+def check_special_values(n: int) -> bool:
+    """Q_n(0) = (-1)^n, the q^{2n} Q_n(1/q) product formula, and the
+    corollary prod (1 + z_j + z_j^2) = (3/4)^n prod ((3j-1)/(2j-1))^2.
+
+    The corollary follows because 1 + z + z^2 = -3 q w / (q w - 1)^2 under
+    the variable change, so the product over the roots collapses to
+    3^n / (q^{2n} Q_n(1/q))^2 using e_n = 1.
+    """
+    qp = elem_periodic(n)
+    if qp.poly()(Fraction(0)) != (-1) ** n:
+        return False
+    s = q_at_qinv(qp)
+    if not s.is_rational or s.rational() != qinv_product_value(n):
+        return False
+    lhs = Fraction(3) ** n / s.rational() ** 2
+    rhs = Fraction(3, 4) ** n
+    for j in range(1, n + 1):
+        rhs *= Fraction(3 * j - 1, 2 * j - 1) ** 2
+    return lhs == rhs

@@ -17,31 +17,29 @@ from betheq.conjectures import (
     verify_reflecting_product,
     verify_twisted_product,
 )
-from betheq.detlab import (
-    asm_enumerate,
-    det_exact,
-    lambda_det_asm_sum,
-    lambda_det_dodgson,
-    CondensationSingularError,
-)
+from betheq.detlab import det_exact
 from betheq.exact import QINV, Cyclo
 from betheq.qfunctions import (
     Boundary,
     check_recursion_periodic,
-    check_special_values,
     elem_for,
     elem_periodic,
     elem_twisted,
     hyp_failures,
 )
-from betheq.symfunc import (
-    Partition,
+from betheq.symfunc import Partition, schur_nk
+from oracles import (
+    CondensationSingularError,
+    asm_enumerate,
+    check_special_values,
     complete_table,
     elem_brute,
+    lambda_det_asm_sum,
+    lambda_det_dodgson,
     schur_jt,
-    schur_nk,
     schur_tableaux,
     schur_vandermonde,
+    to_z,
 )
 
 
@@ -268,7 +266,7 @@ def test_criterion_12_ed_oracle():
         ok = ok and abs(val - eb) < 1e-10
         with mp.workprec(128):
             zsum = sum(
-                bethe.to_z(w, 128) + 1 / bethe.to_z(w, 128) for w in rs.roots
+                to_z(w, 128) + 1 / to_z(w, 128) for w in rs.roots
             )
         ok = ok and abs(complex(zsum) - (n + 1)) < 1e-10
     # twisted and reflecting energies

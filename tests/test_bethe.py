@@ -15,8 +15,6 @@ from betheq.bethe import (
     component_sum_small,
     energy,
     solve_roots,
-    to_w,
-    to_z,
     wavefunction_component,
 )
 from betheq.conjectures import verify_reflecting_product
@@ -28,6 +26,7 @@ from betheq.qfunctions import (
     elem_reflecting,
     elem_twisted,
 )
+from oracles import to_w, to_z
 
 PREC = 192
 TOL = mp.mpf(2) ** (30 - PREC)

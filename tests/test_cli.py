@@ -58,6 +58,18 @@ class TestVerify:
         code, _ = run_capture(capsys, ["verify", "conj"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "hyp1", "--n", "-3"],
+        ["verify", "hyp2", "--n", "-3"],
+        ["verify", "all", "--max-n", "0"],
+        ["verify", "all", "--max-n", "-2"],
+    ])
+    def test_checking_nothing_is_a_usage_error(self, capsys, argv):
+        # an empty range of n must not read as a pass
+        code, out = run_capture(capsys, argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_hyp_identities(self, capsys):
         code, out = run_capture(capsys, ["verify", "hyp1", "--n", "6"])
         assert code == EXIT_OK
@@ -132,6 +144,22 @@ class TestDiag:
         data = json.loads(out)
         assert data["dim"] == 6435
         assert abs(float(data["ratio"]) - 218348) < 1e-8 * 218348
+
+    def test_reflecting_single_site(self, capsys):
+        # the sector matrix is zero, so the start vector is already exact
+        code, out = run_capture(
+            capsys, ["diag", "--L", "1", "--boundary", "reflecting"]
+        )
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["dim"] == 1
+        assert float(data["energy"]["re"]) == 0.0
+
+    @pytest.mark.parametrize("boundary", ["periodic", "reflecting"])
+    def test_empty_chain_is_usage_error(self, capsys, boundary):
+        code, out = run_capture(capsys, ["diag", "--L", "0", "--boundary", boundary])
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_arnoldi_nonconvergence_exits_numeric(self, capsys, monkeypatch):
         monkeypatch.setattr(ed, "ARNOLDI_TOL", 0.0)

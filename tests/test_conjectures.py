@@ -18,6 +18,7 @@ from betheq.conjectures import (
 )
 from betheq.exact import QINV, Cyclo
 from betheq.qfunctions import Boundary, elem_for, elem_periodic
+from oracles import to_z
 
 
 def periodic_prefactor(n):
@@ -55,7 +56,7 @@ class TestDoubleProductKernel:
         qp = elem_for(boundary, n)
         rs = bethe.solve_roots(qp, 128)
         with mp.workprec(128):
-            z = [bethe.to_z(w, 128) for w in rs.roots]
+            z = [to_z(w, 128) for w in rs.roots]
             direct = mp.fprod(1 + z[i] + z[i] * z[j]
                               for i in range(n) for j in range(n) if i != j)
             exact = conjectures._double_product(qp).embed(128)

@@ -6,15 +6,15 @@ from fractions import Fraction
 import pytest
 
 from betheq.asmcounts import asm_count
-from betheq.detlab import (
+from betheq.detlab import det_exact
+from betheq.exact import Cyclo
+from oracles import (
     ASMMatrix,
     CondensationSingularError,
     asm_enumerate,
-    det_exact,
     lambda_det_asm_sum,
     lambda_det_dodgson,
 )
-from betheq.exact import Cyclo
 
 
 def leibniz(m):
@@ -174,10 +174,6 @@ class TestASMEnumeration:
     def test_invalid_asm_rejected(self):
         with pytest.raises(ValueError):
             ASMMatrix.from_entries([[1, 1], [0, -1]])
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            asm_enumerate(7)
 
 
 class TestLambdaDeterminant:

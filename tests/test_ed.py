@@ -16,6 +16,7 @@ from betheq.ed import (
     rs_observables,
 )
 from betheq.qfunctions import Boundary, elem_for, elem_periodic
+from oracles import to_z
 
 PREC = 128
 
@@ -60,6 +61,9 @@ class TestHamiltonian:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             build_hamiltonian(MAX_L + 1, Boundary.PERIODIC)
+        for boundary in Boundary:
+            with pytest.raises(ValueError):
+                build_hamiltonian(0, boundary)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_matvec_matches_dense(self, boundary):
@@ -115,7 +119,7 @@ class TestGroundstateObservables:
         _, rs = bethe_energy(Boundary.PERIODIC, n)
         with mp.workprec(PREC):
             total = sum(
-                bethe.to_z(w, PREC) + 1 / bethe.to_z(w, PREC) for w in rs.roots
+                to_z(w, PREC) + 1 / to_z(w, PREC) for w in rs.roots
             )
         assert abs(complex(total) - (n + 1)) < 1e-10
 

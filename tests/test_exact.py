@@ -10,13 +10,13 @@ from betheq.exact import (
     Cyclo,
     ExactDivisionError,
     Poly,
-    Q,
     QINV,
     falling_binom,
     gen_binom,
     poly_div_exact,
     rat_to_str,
 )
+from oracles import Q
 
 
 class TestBinomials:

@@ -5,18 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from betheq import symfunc
-from betheq.symfunc import (
-    Partition,
-    SymTable,
-    TableauGuardError,
+from betheq.symfunc import Partition, SymTable, schur_nk
+from oracles import (
     complete_from_elem,
     complete_table,
     elem_brute,
     elem_from_complete,
     monomial_sym,
     schur_jt,
-    schur_nk,
     schur_tableaux,
     schur_vandermonde,
 )
@@ -147,14 +143,6 @@ class TestSchurIdentities:
         with pytest.raises(ZeroDivisionError):
             schur_vandermonde(Partition([2]), [Fraction(1), Fraction(1)])
 
-    def test_tableau_guard(self, monkeypatch):
-        # shape (2) in 3 variables has 6 tableaux: the guard admits exactly 6
-        ws = [Fraction(1), Fraction(2), Fraction(3)]
-        monkeypatch.setattr(symfunc, "TABLEAU_GUARD", 6)
-        assert schur_tableaux(Partition([2]), ws) == 25
-        monkeypatch.setattr(symfunc, "TABLEAU_GUARD", 5)
-        with pytest.raises(TableauGuardError):
-            schur_tableaux(Partition([2]), ws)
 
 class TestSymTable:
     def test_negative_index_zero(self):
@@ -171,6 +159,12 @@ class TestSymTable:
         with pytest.raises(IndexError):
             h.val(4)
 
+    def test_missing_e_value_raises(self):
+        # e_2 of 3 variables is not given: no silent 0 below nvars
+        e = SymTable([1, Fraction(1, 2)], 3)
+        with pytest.raises(IndexError):
+            e.val(2)
+
     def test_v0_must_be_one(self):
         with pytest.raises(ValueError):
-            SymTable("e", [2, 1], 1)
+            SymTable([2, 1], 1)
