@@ -7,18 +7,22 @@ comparison against exact diagonalization.  All tolerances are relative to
 the working precision.
 
 One Aberth kernel runs twice (Bini, Numer. Algorithms 13, 1996; Bini and
-Robol, J. Comput. Appl. Math. 272, 2014): a 53-bit pass on Python complex
-walks in from a circle and seeds the multiprecision pass.  Each root stops
-moving once its relative step is below 2^(4 - precision) or its value
-|p(x)| is within the rounding bound of Horner's rule, so each pass ends
-at its rounding floor instead of running into its iteration cap there.
+Robol, J. Comput. Appl. Math. 272, 2014), in Gaussian fixed point on
+Python ints: a value is an (re, im) int pair times 2^-scale.  A pass at
+scale 53 walks in from a circle and seeds the full pass, whose scale is
+the working precision of solve_roots.  Each root stops moving once its
+relative step is at most 2^(4 - precision) or its value |p(x)| is within
+the fixed-point rounding bound of Horner's rule, so each pass ends at its
+rounding floor instead of running into its iteration cap there.  The
+certificates (reconstruction, reflecting split, Bethe residual) run in
+mpmath, an arithmetic independent of the kernel's.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 from mpmath import mp
@@ -78,7 +82,7 @@ class RootSet:
     For the reflecting boundary, wt_roots holds the n roots in the
     wt = w + 1/w variable and roots holds the 2n split values with
     roots[i + n] = 1/roots[i] exactly by construction.  iterations counts
-    the multiprecision Aberth iterations and reconstruction_error is the
+    the iterations of the full Aberth pass and reconstruction_error is the
     max relative coefficient error of the polynomial rebuilt from the
     roots (wt_roots for reflecting).
     """
@@ -100,75 +104,91 @@ class RootSet:
         return self.roots[: self.n]
 
 
-def _circle(cs):
-    """Aberth's start: n points on the circle of radius max(1, max|c_k|)^(1/n)."""
-    n = len(cs) - 1
-    radius = max(mp.mpf(1), *map(abs, cs)) ** (mp.mpf(1) / n)
-    return [
-        radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
-        for j in range(n)
-    ]
+def _circle(coeffs, scale: int):
+    """Aberth's start: n points on the circle of radius max(1, max|c_k|)^(1/n)
+    (coefficients lowest degree first), as (re, im) ints at the given scale."""
+    n = len(coeffs) - 1
+    with mp.workprec(64):
+        radius = max(mp.mpf(1), *(abs(_mpf_frac(c)) for c in coeffs)) ** (mp.mpf(1) / n)
+        points = [
+            radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
+            for j in range(n)
+        ]
+        return [(int(mp.ldexp(z.real, scale)), int(mp.ldexp(z.imag, scale))) for z in points]
 
 
-def _aberth(cs, roots, prec: int):
-    """All roots of a monic polynomial (coefficients cs, highest degree
-    first) by Aberth-Ehrlich iteration from the start roots, run unchanged
-    on Python float/complex or on mpmath mpf/mpc at the working precision.
+def _aberth(coeffs, roots, prec: int, scale: int):
+    """All roots of a monic polynomial with exact coefficients (lowest
+    degree first) by Aberth-Ehrlich iteration from the start roots, in
+    Gaussian fixed point: a value is an (re, im) pair of Python ints
+    times 2^-scale, and one ulp is 2^-scale.
 
-    Returns the roots and the number of iterations.  Root i stops moving
-    once its relative step falls below 2^(4 - prec), or once |p(x_i)| is
-    within Horner's rounding bound 4 n 2^-bits sum_k |c_k| |x_i|^k, where
-    2^(1 - bits) is mp.eps or the float epsilon.  A stopped root still
-    enters the Aberth sum of the others; the iteration ends when every
-    root has stopped.
+    Returns the roots as int pairs and the number of iterations.  Each
+    coefficient is rounded down to the scale once.  Horner's rule gives
+    p(x_i), p'(x_i) and S(x_i) = sum_{k<=n} |x_i|^k in one loop, each
+    product rounded down by a shift; the step is
+    p / (p' - p sum_{j != i} 1/(x_i - x_j)), rounded to the nearest ulp.
+    Root i stops moving once that step is at most 2^(4 - prec) |x_i|, or
+    once |p(x_i)| <= 3 S(x_i) ulp.  That is the rounding floor: each
+    shift is off by less than one ulp in each part (sqrt 2 in modulus)
+    and each coefficient by less than one, so the computed p(x) differs
+    from the exact one by less than (1 + sqrt 2) sum_{k<n} |x|^k ulp.
+    A stopped root still enters the Aberth sum of the others; the
+    iteration ends when every root has stopped.  Only the report of a
+    stall at the cap converts to mpmath.
     """
-    n = len(cs) - 1
-    abs_cs = [abs(c) for c in cs]
-    floor = 2 * n * (mp.eps if isinstance(abs_cs[0], mp.mpf) else 2.0**-52)
-
-    def horner(x):
-        """p(x), p'(x) and the Horner rounding bound at x, in one pass."""
-        ax = abs(x)
-        p = dp = bound = 0
-        for c, ac in zip(cs, abs_cs):
-            dp = dp * x + p
-            p = p * x + c
-            bound = bound * ax + ac
-        return p, dp, floor * bound
-
+    n = len(coeffs) - 1
+    cs = [(c.numerator << scale) // c.denominator for c in reversed(coeffs)]
+    one, lead, scale2 = cs[0], cs[1:], 2 * scale
+    rel = 2 * (prec - 4)
     roots = list(roots)
-    eps = abs_cs[0] / 2 ** (prec - 4)
     active = range(n)
     cap = 64 + 8 * prec // 16
     for iterations in range(1, cap + 1):
-        worst = 0
-        moving = []
+        moving, steps = [], []
         for i in active:
-            x = roots[i]
-            p, dp, noise = horner(x)
-            if abs(p) <= noise:
+            xr, xi = roots[i]
+            ax = isqrt(xr * xr + xi * xi) + 1
+            pr, pi, dr, di, bound = one, 0, 0, 0, one
+            for c in lead:
+                dr, di = ((dr * xr - di * xi) >> scale) + pr, ((dr * xi + di * xr) >> scale) + pi
+                pr, pi = ((pr * xr - pi * xi) >> scale) + c, (pr * xi + pi * xr) >> scale
+                bound = ((bound * ax) >> scale) + one
+            noise = (3 * bound >> scale) + 1
+            if pr * pr + pi * pi <= noise * noise:
                 continue
-            if dp == 0:
-                roots[i] = x + eps * (1 + x)
-                worst = mp.inf
-                moving.append(i)
-                continue
-            newton = p / dp
-            s = 0
-            for j in range(n):
+            sr = si = 0  # sum_{j != i} 1/(x_i - x_j)
+            for j, (yr, yi) in enumerate(roots):
                 if j != i:
-                    s += 1 / (x - roots[j])
-            denom = 1 - newton * s
-            step = newton if denom == 0 else newton / denom
-            roots[i] = x - step
-            rel = abs(step) / max(1, abs(roots[i]))
-            worst = max(worst, rel)
-            if rel >= eps:
+                    ar, ai = xr - yr, xi - yi
+                    m = ar * ar + ai * ai
+                    sr += (ar << scale2) // m
+                    si -= (ai << scale2) // m
+            # the step p / (p' - p S), rounded to the nearest ulp
+            er = dr - ((pr * sr - pi * si) >> scale)
+            ei = di - ((pr * si + pi * sr) >> scale)
+            m = er * er + ei * ei
+            if m == 0:
+                nudge = max(1, (one + abs(xr) + abs(xi)) >> (prec - 4))
+                roots[i] = (xr + nudge, xi + nudge)
                 moving.append(i)
+                steps.append((1, 0))
+                continue
+            half = m >> 1
+            tr = (((pr * er + pi * ei) << scale) + half) // m
+            ti = (((pi * er - pr * ei) << scale) + half) // m
+            xr, xi = xr - tr, xi - ti
+            roots[i] = (xr, xi)
+            s2, x2 = tr * tr + ti * ti, xr * xr + xi * xi
+            if s2 << rel > x2:
+                moving.append(i)
+                steps.append((s2, x2))
         active = moving
         if not active:
             break
     else:
+        with mp.workprec(53):
+            worst = max(mp.sqrt(mp.mpf(s2) / x2) if x2 else mp.inf for s2, x2 in steps)
         raise NonConvergenceError(
             f"Aberth iteration stalled at correction {mpmath.nstr(worst, 8)} for degree {n}",
             degree=n, precision=prec, iterations=cap, correction=worst,
@@ -176,19 +196,18 @@ def _aberth(cs, roots, prec: int):
     return roots, iterations
 
 
-def _seed(cs):
-    """Start roots for the multiprecision pass: the roots of a 53-bit
-    _aberth pass on Python complex from the circle, or the circle itself
-    when that pass raises (overflow, zero divisor, its cap), when its
-    coefficients or roots are not finite or its roots not distinct."""
-    circle = _circle(cs)
-    floats = [float(c) for c in cs]  # inf beyond the double range
+def _seed(coeffs, scale: int):
+    """Start roots at the given scale for the full pass: the roots of a
+    scale-53 _aberth pass from the circle, or the circle itself when that
+    pass raises (its cap, a zero divisor) or returns coincident roots."""
     try:
-        roots, _ = _aberth(floats, [complex(x) for x in circle], 53)
+        roots, _ = _aberth(coeffs, _circle(coeffs, 53), 53, 53)
     except ArithmeticError:
-        return circle
-    usable = len(set(roots)) == len(roots) and all(map(cmath.isfinite, floats + roots))
-    return [mp.mpc(x) for x in roots] if usable else circle
+        return _circle(coeffs, scale)
+    if len(set(roots)) < len(roots):
+        return _circle(coeffs, scale)
+    shift = scale - 53
+    return [(xr << shift, xi << shift) for xr, xi in roots]
 
 
 def _reconstruct_error(coeffs, roots):
@@ -212,12 +231,14 @@ def _reconstruct_error(coeffs, roots):
 def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     """Find all roots of a Q-polynomial at the given precision (bits).
 
-    A 53-bit _aberth pass seeds the multiprecision pass (see _seed).  The
-    polynomial rebuilt from the roots must match the exact coefficients to
-    2^(20-precision) relative, else NonConvergenceError.
-    Iteration and reconstruction run with ceil(log2 max|c_k|) bits beyond
-    precision + GUARD_BITS, so that rounding in the large coefficients
-    does not eat into that bound; the returned roots are rounded to
+    A scale-53 _aberth pass seeds the full pass (see _seed).  The full
+    pass runs at scale precision + GUARD_BITS + ceil(log2 max|c_k|), so
+    that rounding in the large coefficients does not eat into the
+    reconstruction bound, and stops on 2^(4-precision) relative steps or
+    on its rounding floor (see _aberth).  Its roots enter mpmath rounded
+    to that many bits, and the polynomial rebuilt from them must match
+    the exact coefficients to 2^(20-precision) relative, else
+    NonConvergenceError.  The returned roots are rounded to
     precision + GUARD_BITS.
     For the reflecting boundary the wt-roots are split through
     w^2 - wt*w + 1 = 0, keeping the branch with |w| >= 1 (tie: positive
@@ -229,10 +250,10 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     coeffs = list(qp.poly().coeffs)
     top = max(abs(c) for c in coeffs)
     # ceil(log2 top): the bit length of ceil(top) - 1 (top >= 1, monic)
-    extra = (-(-top.numerator // top.denominator) - 1).bit_length()
-    with mp.workprec(precision + GUARD_BITS + extra):
-        cs = [_mpf_frac(c) for c in reversed(coeffs)]
-        roots, iterations = _aberth(cs, _seed(cs), precision) if n > 0 else ([], 0)
+    scale = precision + GUARD_BITS + (-(-top.numerator // top.denominator) - 1).bit_length()
+    fixed, iterations = _aberth(coeffs, _seed(coeffs, scale), precision, scale) if n > 0 else ([], 0)
+    with mp.workprec(scale):
+        roots = [mp.mpc(mp.mpf((xr, -scale)), mp.mpf((xi, -scale))) for xr, xi in fixed]
         err = _reconstruct_error(coeffs, roots) if n > 0 else mp.mpf(0)
         tol = mp.mpf(2) ** (20 - precision)
         if err > tol:
@@ -288,13 +309,15 @@ def bethe_residual(rs: RootSet):
             power, twist = 2 * rs.L, 1
         else:
             power, twist = rs.L, q ** (-2) if rs.boundary is Boundary.TWISTED else 1
+        q2w = [q2 * w for w in rs.roots]
         worst = mp.mpf(0)
         for i, wi in enumerate(rs.bethe_roots):
-            prod_term = mp.mpc(twist)
+            num, den = mp.mpc(twist), mp.mpc(1)
             for j, wj in enumerate(rs.roots):
                 if j % n != i:
-                    prod_term *= (q2 * wj - wi) / (wj - q2 * wi)
-            worst = max(worst, abs(_z(wi, q) ** power - prod_term))
+                    num *= q2w[j] - wi
+                    den *= wj - q2w[i]
+            worst = max(worst, abs(_z(wi, q) ** power - num / den))
         return worst
 
 

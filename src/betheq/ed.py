@@ -103,7 +103,9 @@ def build_hamiltonian(L: int, boundary):
     Returns (basis, H) with H a `SectorMatrix`; twisted and reflecting H
     are non-Hermitian but have real spectra.
 
-    L runs from 1 to MAX_L, the largest size measured to work.  Build plus
+    L runs to MAX_L, the largest size measured to work, from 1 for the
+    reflecting chain and from 2 for closed chains (one site would close
+    onto itself).  Build plus
     `groundstate` without a hint, in a fresh process on one core of a
     shared 2-vCPU host, took (peak process RSS, of which about 33 MB is
     the interpreter with numpy and betheq loaded):
@@ -112,11 +114,12 @@ def build_hamiltonian(L: int, boundary):
     reflecting L = 18 (dim 48620) 3.4 s, 139 MB.
     """
     boundary = Boundary(boundary)
-    if not 1 <= L <= MAX_L:
-        raise ValueError(f"L must be in 1..{MAX_L}, got {L}")
+    closed = boundary is not Boundary.REFLECTING
+    low = 2 if closed else 1
+    if not low <= L <= MAX_L:
+        raise ValueError(f"L must be in {low}..{MAX_L} for the {boundary.value} chain, got {L}")
     basis = SpinBasis(L, default_sector(L))
     rows, cols, values = [], [], []
-    closed = boundary is not Boundary.REFLECTING
     bonds = [(j, (j + 1) % L) for j in range(L if closed else L - 1)]
     for idx, s in enumerate(basis.states):
         diag = 0.0

@@ -4,7 +4,8 @@ None of these is on a path the `betheq` CLI or `conjectures.VERIFIERS`
 takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, a point evaluator for the
-closed rational form of Q_n and the special-value check.
+closed rational form of Q_n, the special-value check and the Aberth
+iteration in mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 from mpmath import mp
 
 from betheq.asmcounts import _as_int
-from betheq.bethe import _qphase, _z
+from betheq.bethe import NonConvergenceError, _qphase, _z
 from betheq.detlab import _check_square, det_exact
 from betheq.exact import Cyclo
 from betheq.qfunctions import Boundary, _rational_form, elem_periodic, q_at_qinv
@@ -434,3 +436,72 @@ def check_special_values(n: int) -> bool:
     for j in range(1, n + 1):
         rhs *= Fraction(3 * j - 1, 2 * j - 1) ** 2
     return lhs == rhs
+
+
+# --- Bethe roots ------------------------------------------------------------
+
+
+def aberth_mpmath(cs, roots, prec: int):
+    """All roots of a monic polynomial (coefficients cs, highest degree
+    first) by Aberth-Ehrlich iteration from the start roots, run unchanged
+    on Python float/complex or on mpmath mpf/mpc at the working precision.
+
+    Returns the roots and the number of iterations.  Root i stops moving
+    once its relative step falls below 2^(4 - prec), or once |p(x_i)| is
+    within Horner's rounding bound 4 n 2^-bits sum_k |c_k| |x_i|^k, where
+    2^(1 - bits) is mp.eps or the float epsilon.  A stopped root still
+    enters the Aberth sum of the others; the iteration ends when every
+    root has stopped.
+    """
+    n = len(cs) - 1
+    abs_cs = [abs(c) for c in cs]
+    floor = 2 * n * (mp.eps if isinstance(abs_cs[0], mp.mpf) else 2.0**-52)
+
+    def horner(x):
+        """p(x), p'(x) and the Horner rounding bound at x, in one pass."""
+        ax = abs(x)
+        p = dp = bound = 0
+        for c, ac in zip(cs, abs_cs):
+            dp = dp * x + p
+            p = p * x + c
+            bound = bound * ax + ac
+        return p, dp, floor * bound
+
+    roots = list(roots)
+    eps = abs_cs[0] / 2 ** (prec - 4)
+    active = range(n)
+    cap = 64 + 8 * prec // 16
+    for iterations in range(1, cap + 1):
+        worst = 0
+        moving = []
+        for i in active:
+            x = roots[i]
+            p, dp, noise = horner(x)
+            if abs(p) <= noise:
+                continue
+            if dp == 0:
+                roots[i] = x + eps * (1 + x)
+                worst = mp.inf
+                moving.append(i)
+                continue
+            newton = p / dp
+            s = 0
+            for j in range(n):
+                if j != i:
+                    s += 1 / (x - roots[j])
+            denom = 1 - newton * s
+            step = newton if denom == 0 else newton / denom
+            roots[i] = x - step
+            rel = abs(step) / max(1, abs(roots[i]))
+            worst = max(worst, rel)
+            if rel >= eps:
+                moving.append(i)
+        active = moving
+        if not active:
+            break
+    else:
+        raise NonConvergenceError(
+            f"Aberth iteration stalled at correction {mpmath.nstr(worst, 8)} for degree {n}",
+            degree=n, precision=prec, iterations=cap, correction=worst,
+        )
+    return roots, iterations

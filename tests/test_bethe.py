@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb
 
 import pytest
 from mpmath import mp
@@ -26,7 +27,7 @@ from betheq.qfunctions import (
     elem_reflecting,
     elem_twisted,
 )
-from oracles import to_w, to_z
+from oracles import aberth_mpmath, to_w, to_z
 
 PREC = 192
 TOL = mp.mpf(2) ** (30 - PREC)
@@ -84,60 +85,101 @@ class TestSolveRoots:
         assert abs(rs.roots[0] - 1) < TOL
 
 
+def _mpc(root, scale):
+    """An (re, im) int pair at the given scale as an mpc."""
+    return mp.mpc(mp.mpf((root[0], -scale)), mp.mpf((root[1], -scale)))
+
+
 class TestAberthStoppingRule:
     @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 6), (Boundary.REFLECTING, 5)])
     def test_stops_at_rounding_floor(self, boundary, n):
-        # At 192 working bits no relative step can fall below 2^(4 - 256),
-        # so only the rounding-floor rule can end the iteration.
+        # At scale 192 a step of one ulp is still above 2^(4 - 256) relative
+        # for these roots, so only the rounding-floor rule or a step that
+        # rounds to zero can end the iteration.
         qp = elem_for(boundary, n)
         coeffs = list(qp.poly().coeffs)
-        with mp.workprec(192):
-            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
-            roots, iterations = bethe._aberth(cs, bethe._circle(cs), 256)
+        roots, iterations = bethe._aberth(coeffs, bethe._circle(coeffs, 192), 256, 192)
         assert iterations < 64 + 8 * 256 // 16
         rs = solve_roots(qp, 256)
         want = rs.wt_roots or rs.roots
-        for r in roots:
-            assert min(abs(r - w) for w in want) < mp.mpf(2) ** -170
+        with mp.workprec(256):
+            for r in roots:
+                assert min(abs(_mpc(r, 192) - w) for w in want) < mp.mpf(2) ** -170
+
+    def test_zero_step_denominator_nudges_the_root(self):
+        # w^3 + 1 from (0, 1, -1): p'(0) = 0 and the Aberth sum at 0 is 0,
+        # so the step p / (p' - p S) at the first root has no denominator
+        coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(1)]
+        one = 1 << 53
+        roots, _ = bethe._aberth(coeffs, [(0, 0), (one, 0), (-one, 0)], 53, 53)
+        with mp.workprec(53):
+            for r in roots:
+                assert abs(_mpc(r, 53) ** 3 + 1) < mp.mpf(2) ** -45
 
     def test_float_seed_shortens_the_multiprecision_pass(self):
-        # 20 iterations from the circle; the 53-bit seeds leave about 5
+        # 20 iterations from the circle; the scale-53 seeds leave about 3
         assert solve_roots(elem_periodic(20), 256).iterations <= 6
 
 
+class TestMpmathOracle:
+    """The fixed-point kernel behind solve_roots against the mpmath Aberth
+    iteration at 512 bits, started from the scale-53 seed roots."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("n", [4, 10, 20])
+    def test_roots_match(self, boundary, n):
+        qp = elem_for(boundary, n)
+        rs = solve_roots(qp, 256)
+        got = list(rs.wt_roots or rs.roots)
+        coeffs = list(qp.poly().coeffs)
+        with mp.workprec(512):
+            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+            start = [_mpc(r, 64) for r in bethe._seed(coeffs, 64)]
+            want, _ = aberth_mpmath(cs, start, 256)
+            for w in want:
+                near = min(got, key=lambda g: abs(g - w))
+                assert abs(near - w) <= mp.mpf(2) ** (20 - 256) * abs(w)
+                got.remove(near)
+
+
 class TestFloatSeed:
-    """The 53-bit pass only seeds the multiprecision pass: when its roots
-    are unusable, that pass starts from the circle and still converges."""
+    """The scale-53 pass only seeds the full pass: when its roots are
+    unusable, that pass starts from the circle and still converges."""
 
     @staticmethod
-    def solve_recording_starts(monkeypatch, qp, float_roots=None):
-        """solve_roots(qp, 256), recording every circle built and the start
-        roots of each multiprecision pass; float_roots, if given, replaces
-        the result of the 53-bit pass."""
-        circles, starts = [], []
+    def solve_recording_starts(monkeypatch, qp, seed_roots=None):
+        """solve_roots(qp, 256), recording every circle built, the roots of
+        each scale-53 pass and the start roots of each full pass;
+        seed_roots, if given, replaces the result of the scale-53 pass."""
+        circles, seeds, starts = [], [], []
         circle, aberth = bethe._circle, bethe._aberth
 
-        def spy_circle(cs):
-            circles.append(circle(cs))
+        def spy_circle(coeffs, scale):
+            circles.append(circle(coeffs, scale))
             return circles[-1]
 
-        def spy_aberth(cs, roots, prec):
-            if prec == 53:
-                result = aberth(cs, roots, prec)
-                return (float_roots, result[1]) if float_roots else result
+        def spy_aberth(coeffs, roots, prec, scale):
+            if scale == 53:
+                result = aberth(coeffs, roots, prec, scale)
+                seeds.append(seed_roots or result[0])
+                return seeds[-1], result[1]
             starts.append(list(roots))
-            return aberth(cs, roots, prec)
+            return aberth(coeffs, roots, prec, scale)
 
         monkeypatch.setattr(bethe, "_circle", spy_circle)
         monkeypatch.setattr(bethe, "_aberth", spy_aberth)
-        return solve_roots(qp, 256), circles, starts
+        return solve_roots(qp, 256), circles, seeds, starts
 
     def test_coefficients_overflowing_a_double(self, monkeypatch):
-        # (w - a)(w + a)(w - 3a) with a = 10^134: e_3 = -3a^3 ~ -10^402
+        # (w - a)(w + a)(w - 3a) with a = 10^134: e_3 = -3a^3 ~ -10^402,
+        # beyond the double range but not beyond the ints of the seed pass
         a = 10**134
         qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3 * a, -a * a, -3 * a**3))))
-        rs, circles, starts = self.solve_recording_starts(monkeypatch, qp)
-        assert starts == circles
+        rs, circles, seeds, starts = self.solve_recording_starts(monkeypatch, qp)
+        # one circle, for the seed pass; the full pass starts from its roots
+        assert len(circles) == len(seeds) == len(starts) == 1
+        shift = starts[0][0][0].bit_length() - seeds[0][0][0].bit_length()
+        assert starts[0] == [(xr << shift, xi << shift) for xr, xi in seeds[0]]
         assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
         with mp.workprec(256):
             assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([-1, 1, 3], abs=1e-60)
@@ -145,9 +187,9 @@ class TestFloatSeed:
     @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 8), (Boundary.REFLECTING, 6)])
     def test_coincident_float_roots(self, monkeypatch, boundary, n):
         qp = elem_for(boundary, n)
-        coincident = [1 + 1j] * (n - 1) + [2j]
-        rs, circles, starts = self.solve_recording_starts(monkeypatch, qp, coincident)
-        assert starts == circles
+        coincident = [(1 << 53, 1 << 53)] * (n - 1) + [(0, 2 << 53)]
+        rs, circles, seeds, starts = self.solve_recording_starts(monkeypatch, qp, coincident)
+        assert starts == circles[1:]
         assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
         assert rs.residual < mp.mpf(10) ** -40
 
@@ -163,6 +205,17 @@ class TestNonConvergence:
         assert err.precision == PREC
         assert err.iterations >= 1
         assert err.correction == 1
+
+    def test_iteration_cap_carries_fields(self):
+        # (w - 1)^8: Aberth converges only linearly on an eightfold root,
+        # so 90 iterations do not bring the relative step below 2^(4 - 53)
+        coeffs = [Fraction(comb(8, k) * (-1) ** (8 - k)) for k in range(9)]
+        with pytest.raises(NonConvergenceError) as info:
+            bethe._aberth(coeffs, bethe._circle(coeffs, 1000), 53, 1000)
+        err = info.value
+        assert "stalled at correction" in str(err)
+        assert (err.degree, err.precision, err.iterations) == (8, 53, 64 + 8 * 53 // 16)
+        assert err.correction > mp.mpf(2) ** (4 - 53)
 
     def test_message_is_short_and_keeps_the_exponent(self, monkeypatch):
         # a message cut at 160 characters must still read as 1.04e-40
@@ -183,7 +236,12 @@ class TestStallSizes:
 
     @pytest.mark.parametrize(
         "boundary, n",
-        [(Boundary.REFLECTING, 20), (Boundary.REFLECTING, 24), (Boundary.PERIODIC, 36)],
+        [
+            (Boundary.REFLECTING, 20),
+            (Boundary.REFLECTING, 24),
+            (Boundary.PERIODIC, 36),
+            (Boundary.REFLECTING, 45),
+        ],
     )
     def test_solve_roots(self, boundary, n):
         qp = elem_for(boundary, n)
@@ -200,6 +258,35 @@ class TestStallSizes:
 
     def test_reflecting_product_n20(self):
         assert verify_reflecting_product(20, 256).equal
+
+
+class TestLargeCoefficients:
+    """Cubics with coefficients up to 10^1500, at 256 bits.  The mpmath
+    kernel stalled at its cap on every three-real case and failed
+    reconstruction on the huge constant term at k = 400, 500 and on the
+    huge linear coefficient at k = 330, 400."""
+
+    @pytest.mark.parametrize("k", [300, 330, 400, 500])
+    def test_three_real_roots_of_one_sign(self, k):
+        # (w - a)(w - 2a)(w - 4a) with a = 10^k
+        a = 10**k
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 7 * a, 14 * a * a, 8 * a**3))))
+        rs = solve_roots(qp, 256)
+        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
+        with mp.workprec(256):
+            assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([1, 2, 4], abs=1e-60)
+
+    @pytest.mark.parametrize("k", [300, 330, 400, 500])
+    def test_huge_constant_term(self, k):
+        # w^3 - 2w^2 + 3w - 10^k
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 2, 3, 10**k))))
+        assert solve_roots(qp, 256).reconstruction_error <= mp.mpf(2) ** (20 - 256)
+
+    @pytest.mark.parametrize("k", [300, 330, 400, 500])
+    def test_huge_linear_coefficient(self, k):
+        # w^3 - 3w^2 + 10^k w - 7: one root near 7 10^-k, two of size 10^(k/2)
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**k, 7))))
+        assert solve_roots(qp, 256).reconstruction_error <= mp.mpf(2) ** (20 - 256)
 
 
 class TestResiduals:

@@ -161,6 +161,13 @@ class TestDiag:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("boundary", ["periodic", "twisted"])
+    def test_single_site_closed_chain_is_usage_error(self, capsys, boundary):
+        # one site has no bond to close the chain with
+        code, out = run_capture(capsys, ["diag", "--L", "1", "--boundary", boundary])
+        assert code == EXIT_USAGE
+        assert out == ""
+
     def test_arnoldi_nonconvergence_exits_numeric(self, capsys, monkeypatch):
         monkeypatch.setattr(ed, "ARNOLDI_TOL", 0.0)
         monkeypatch.setattr(ed, "ARNOLDI_MAX_RESTARTS", 3)
