@@ -14,8 +14,10 @@ the working precision of solve_roots.  Each root stops moving once its
 relative step is at most 2^(4 - precision) or its value |p(x)| is within
 the fixed-point rounding bound of Horner's rule, so each pass ends at its
 rounding floor instead of running into its iteration cap there.  The
-certificates (reconstruction, reflecting split, Bethe residual) run in
-mpmath, an arithmetic independent of the kernel's.
+reconstruction certificate and the reflecting split run in mpmath, an
+arithmetic independent of the kernel's.  The Bethe residual runs on its
+own Gaussian block floats of Python ints (a value is an (re, im) int pair
+times 2^e), with the rounding bound stated in bethe_residual.
 """
 
 from __future__ import annotations
@@ -289,6 +291,24 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
         return replace(rs, residual=bethe_residual(rs))
 
 
+def _normal(re, im, e, bits: int):
+    """The block float (re + i im) 2^e with its larger part cut to the given
+    bit length (rounded down; a shorter value is left as it is)."""
+    k = (abs(re) | abs(im)).bit_length() - bits
+    if k > 0:
+        return re >> k, im >> k, e + k
+    return re, im, e
+
+
+def _quotient(ar, ai, br, bi, bits: int):
+    """(ar + i ai)/(br + i bi) as a block float (re, im, e) whose larger
+    part has at least bits + 1 bits, each part rounded down."""
+    m = br * br + bi * bi
+    nr, ni = ar * br + ai * bi, ai * br - ar * bi
+    s = max(0, bits + 2 + m.bit_length() - (abs(nr) | abs(ni)).bit_length())
+    return (nr << s) // m, (ni << s) // m, -s
+
+
 def bethe_residual(rs: RootSet):
     """Max absolute defect of the Bethe equations over all roots,
 
@@ -299,26 +319,85 @@ def bethe_residual(rs: RootSet):
     (j mod n != i).  Closed chains have P = L and t = q^-2 (twisted) or 1
     (periodic).  The reflecting chain has P = 2L and t = 1; its factors at
     the stored reciprocals 1/w_j are the boundary factors
-    (q^2 - w_i w_j)/(1 - q^2 w_i w_j).
+    (q^2 - w_i w_j)/(1 - q^2 w_i w_j).  Returns an mpf at precision +
+    GUARD_BITS, exactly 0 when n = 0.
+
+    Runs on Gaussian block floats of Python ints: (re, im, e) stands for
+    (re + i im) 2^e.  Each stored root enters once as an int pair at scale
+    S = precision + GUARD_BITS + 4 + max(0, -min_i mag(w_i)), where
+    |w_i| <= 2^mag(w_i) and the larger part of w_i is at least
+    2^(mag(w_i) - 2), so truncating a part at that scale errs by less
+    than a quarter of that part's own last bit, however small the root.
+    q, q^2 and q^-2 are truncated to the scale (in the imaginary part
+    only), and each part of q w_i and q^2 w_j is rounded down once per
+    root, an error below one unit at the scale in each part.  The
+    factors are then exact int differences.  One running numerator and
+    one denominator per root are cut back to S bits after every complex
+    multiply, a relative error below 2^(1.5 - S) each; z_i and N/D are
+    one int division each, rounded down to at least S + 1 bits, below
+    2^-S; and z_i^P comes by binary powering, cut to S bits after each
+    step, whose squarings double every error before them.  So, to first
+    order and relative to the same formula evaluated exactly on those
+    rounded ints, N/D is within 12 n 2^-S (at most 2n - 2 factors on each
+    side) and z_i^P within 7 P 2^-S.  The defect is the exact difference
+    of the two, aligned to the smaller exponent; only the worst
+    |defect|^2 converts to mpmath.
     """
-    with mp.workprec(rs.precision + GUARD_BITS):
-        q = _qphase()
-        q2 = q * q
-        n = rs.n
-        if rs.boundary is Boundary.REFLECTING:
-            power, twist = 2 * rs.L, 1
-        else:
-            power, twist = rs.L, q ** (-2) if rs.boundary is Boundary.TWISTED else 1
-        q2w = [q2 * w for w in rs.roots]
-        worst = mp.mpf(0)
-        for i, wi in enumerate(rs.bethe_roots):
-            num, den = mp.mpc(twist), mp.mpc(1)
-            for j, wj in enumerate(rs.roots):
-                if j % n != i:
-                    num *= q2w[j] - wi
-                    den *= wj - q2w[i]
-            worst = max(worst, abs(_z(wi, q) ** power - num / den))
-        return worst
+    n = rs.n
+    if n == 0:
+        return mp.mpf(0)
+    prec = rs.precision + GUARD_BITS
+    S = prec + 4 + max(0, -min((mp.mag(w) for w in rs.roots if w), default=0))
+    one = 1 << S
+    h, r = one >> 1, isqrt(3 << (2 * S - 2))  # q = (h + i r) 2^-S
+    ws = [(int(mp.ldexp(w.real, S)), int(mp.ldexp(w.imag, S))) for w in rs.roots]
+    q2w = [((-h * xr - r * xi) >> S, (r * xr - h * xi) >> S) for xr, xi in ws]
+    if rs.boundary is Boundary.REFLECTING:
+        power, t = 2 * rs.L, (one, 0)
+    else:
+        power, t = rs.L, (-h, -r) if rs.boundary is Boundary.TWISTED else (one, 0)
+    factors = [(xr, xi, yr, yi) for (xr, xi), (yr, yi) in zip(ws, q2w)]
+    worst, worst_e = 0, 0  # |defect|^2 = worst 2^(2 worst_e)
+    for i in range(n):
+        wr, wi = ws[i]
+        vr, vi = q2w[i]
+        # num and den both start at scale S and take one factor at scale S
+        # each step, so N/D carries only the shifts: num shifts minus den's.
+        # _normal is inlined here, the one O(n^2) loop.
+        nr, ni = t
+        dr, di, shift = one, 0, 0
+        for j, (xr, xi, yr, yi) in enumerate(factors):
+            if j % n == i:
+                continue
+            fr, fi = yr - wr, yi - wi  # q^2 w_j - w_i
+            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
+            k = (abs(nr) | abs(ni)).bit_length() - S
+            if k > 0:
+                nr, ni, shift = nr >> k, ni >> k, shift + k
+            fr, fi = xr - vr, xi - vi  # w_j - q^2 w_i
+            dr, di = dr * fr - di * fi, dr * fi + di * fr
+            k = (abs(dr) | abs(di)).bit_length() - S
+            if k > 0:
+                dr, di, shift = dr >> k, di >> k, shift - k
+        ur, ui, ue = _quotient(nr, ni, dr, di, S)
+        ue += shift
+        # z_i = (q - w_i)/(q w_i - 1)
+        zr, zi, ze = _quotient(
+            h - wr, r - wi, ((h * wr - r * wi) >> S) - one, (h * wi + r * wr) >> S, S
+        )
+        pr, pi, pe = zr, zi, ze
+        for bit in bin(power)[3:]:
+            pr, pi, pe = _normal(pr * pr - pi * pi, 2 * pr * pi, 2 * pe, S)
+            if bit == "1":
+                pr, pi, pe = _normal(pr * zr - pi * zi, pr * zi + pi * zr, pe + ze, S)
+        e = min(pe, ue)
+        er = (pr << (pe - e)) - (ur << (ue - e))
+        ei = (pi << (pe - e)) - (ui << (ue - e))
+        m = er * er + ei * ei
+        if (m << 2 * max(0, e - worst_e)) > (worst << 2 * max(0, worst_e - e)):
+            worst, worst_e = m, e
+    with mp.workprec(prec):
+        return mp.sqrt(mp.mpf((worst, 2 * worst_e)))
 
 
 def energy(rs: RootSet):

@@ -4,8 +4,8 @@ None of these is on a path the `betheq` CLI or `conjectures.VERIFIERS`
 takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, a point evaluator for the
-closed rational form of Q_n, the special-value check and the Aberth
-iteration in mpmath arithmetic.
+closed rational form of Q_n, the special-value check, and the Aberth
+iteration and the Bethe residual in mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mp
 
 from betheq.asmcounts import _as_int
-from betheq.bethe import NonConvergenceError, _qphase, _z
+from betheq.bethe import GUARD_BITS, NonConvergenceError, RootSet, _qphase, _z
 from betheq.detlab import _check_square, det_exact
 from betheq.exact import Cyclo
 from betheq.qfunctions import Boundary, _rational_form, elem_periodic, q_at_qinv
@@ -505,3 +505,35 @@ def aberth_mpmath(cs, roots, prec: int):
             degree=n, precision=prec, iterations=cap, correction=worst,
         )
     return roots, iterations
+
+
+def bethe_residual_mpmath(rs: RootSet):
+    """Max absolute defect of the Bethe equations over all roots,
+
+        z_i^P = t prod_j (q^2 w_j - w_i)/(w_j - q^2 w_i),
+
+    the w-image of the consistency equations under the variable change,
+    with j over the stored roots other than w_i and its mirror
+    (j mod n != i).  Closed chains have P = L and t = q^-2 (twisted) or 1
+    (periodic).  The reflecting chain has P = 2L and t = 1; its factors at
+    the stored reciprocals 1/w_j are the boundary factors
+    (q^2 - w_i w_j)/(1 - q^2 w_i w_j).
+    """
+    with mp.workprec(rs.precision + GUARD_BITS):
+        q = _qphase()
+        q2 = q * q
+        n = rs.n
+        if rs.boundary is Boundary.REFLECTING:
+            power, twist = 2 * rs.L, 1
+        else:
+            power, twist = rs.L, q ** (-2) if rs.boundary is Boundary.TWISTED else 1
+        q2w = [q2 * w for w in rs.roots]
+        worst = mp.mpf(0)
+        for i, wi in enumerate(rs.bethe_roots):
+            num, den = mp.mpc(twist), mp.mpc(1)
+            for j, wj in enumerate(rs.roots):
+                if j % n != i:
+                    num *= q2w[j] - wi
+                    den *= wj - q2w[i]
+            worst = max(worst, abs(_z(wi, q) ** power - num / den))
+        return worst

@@ -1,6 +1,7 @@
 """High-precision root extraction, certification and root-based sums."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -27,7 +28,7 @@ from betheq.qfunctions import (
     elem_reflecting,
     elem_twisted,
 )
-from oracles import aberth_mpmath, to_w, to_z
+from oracles import aberth_mpmath, bethe_residual_mpmath, to_w, to_z
 
 PREC = 192
 TOL = mp.mpf(2) ** (30 - PREC)
@@ -295,6 +296,65 @@ class TestResiduals:
     def test_bethe_equations_hold(self, boundary, n):
         rs = solve_roots(elem_for(boundary, n), 256)
         assert rs.residual < mp.mpf(10) ** -40
+
+
+class TestResidualOracle:
+    """The block-float residual against the mpmath one on the same roots."""
+
+    CASES = [(b, n, 256) for b in Boundary for n in (1, 4, 10, 20)] + [
+        (b, 6, 4096) for b in Boundary
+    ]
+
+    @pytest.mark.parametrize("boundary, n, precision", CASES)
+    def test_agrees_to_the_precision(self, boundary, n, precision):
+        rs = solve_roots(elem_for(boundary, n), precision)
+        got, want = bethe.bethe_residual(rs), bethe_residual_mpmath(rs)
+        assert isinstance(got, mp.mpf)
+        assert abs(got - want) <= mp.mpf(2) ** -precision
+
+    @pytest.mark.parametrize("boundary, n, precision", CASES)
+    def test_agrees_off_the_roots(self, boundary, n, precision):
+        # Root 0 (and its mirror) moved by 2^-100 relative: the residual is
+        # then about 2^-100, set by the formula and not by rounding, so a
+        # wrong factor, exclusion, twist or power shows.  Each side rounds
+        # to about 2^(16 - precision) absolute, 2^(116 - precision) of that.
+        rs = solve_roots(elem_for(boundary, n), precision)
+        with mp.workprec(precision + 64):
+            w0 = rs.roots[0] * (1 + mp.mpf(2) ** -100)
+            roots = (w0,) + rs.roots[1:]
+            if boundary is Boundary.REFLECTING:
+                roots = roots[:n] + (1 / w0,) + roots[n + 1 :]
+        moved = replace(rs, roots=roots)
+        got, want = bethe.bethe_residual(moved), bethe_residual_mpmath(moved)
+        assert want > mp.mpf(2) ** -110
+        assert abs(got - want) <= mp.mpf(2) ** (116 - precision) * want
+
+    def test_tiny_and_huge_roots(self):
+        # w^3 - 3w^2 + 10^300 w - 7: a root near 7 10^-300 that a scale
+        # without its extra bits would round to 0, and two of size 10^150
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**300, 7))))
+        rs = solve_roots(qp, 256)
+        got, want = bethe.bethe_residual(rs), bethe_residual_mpmath(rs)
+        assert want > 1
+        assert abs(got - want) <= mp.mpf(2) ** (16 - 256) * want
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_roots_far_below_one(self, boundary):
+        # All roots times 2^-1000: the product side is scale invariant and
+        # z_i tends to -q, so the residual is of order 1 and needs every
+        # root to keep its bits at the scale; at 2^-(precision + 68) all
+        # of them would round to 0.
+        rs = solve_roots(elem_for(boundary, 4), 256)
+        with mp.workprec(256 + 64):
+            tiny = replace(rs, roots=tuple(w * mp.mpf(2) ** -1000 for w in rs.roots))
+        got, want = bethe.bethe_residual(tiny), bethe_residual_mpmath(tiny)
+        assert want > mp.mpf(2) ** -10
+        assert abs(got - want) <= mp.mpf(2) ** (16 - 256) * want
+
+    def test_no_roots_is_exactly_zero(self):
+        rs = solve_roots(elem_periodic(0), 256)
+        assert rs.residual == 0
+        assert isinstance(bethe.bethe_residual(rs), mp.mpf)
 
 
 class TestEnergy:

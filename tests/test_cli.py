@@ -221,6 +221,33 @@ class TestFormats:
         assert "lhs" in lines[0]
 
 
+class TestParser:
+    def test_back_to_back_commands_share_no_state(self, capsys, monkeypatch):
+        # one parser serves every call in the process; a patched _cmd_verify
+        # must still be the one that runs
+        seen = []
+        verify = cli._cmd_verify
+
+        def spy(args):
+            seen.append(vars(args).copy())
+            return verify(args)
+
+        monkeypatch.setattr(cli, "_cmd_verify", spy)
+        code, out = run_capture(capsys, ["verify", "conj", "--n", "2"])
+        assert code == EXIT_OK
+        assert json.loads(out)["n"] == 2
+        code, out = run_capture(capsys, ["verify", "all", "--max-n", "1"])
+        assert code == EXIT_OK
+        reports = json.loads(out)["reports"]
+        assert [r["n"] for r in reports] == [1] * len(cli.VERIFIERS)
+        assert seen == [
+            {"format": "json", "command": "verify", "which": "conj", "n": 2,
+             "max_n": 4, "precision": 256},
+            {"format": "json", "command": "verify", "which": "all", "n": None,
+             "max_n": 1, "precision": 256},
+        ]
+
+
 class TestExitCodes:
     def test_usage_error_on_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
