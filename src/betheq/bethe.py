@@ -14,17 +14,19 @@ the working precision of solve_roots.  Each root stops moving once its
 relative step is at most 2^(4 - precision) or its value |p(x)| is within
 the fixed-point rounding bound of Horner's rule, so each pass ends at its
 rounding floor instead of running into its iteration cap there.  The
-reconstruction certificate and the reflecting split run in mpmath, an
-arithmetic independent of the kernel's.  The Bethe residual runs on its
-own Gaussian block floats of Python ints (a value is an (re, im) int pair
-times 2^e), with the rounding bound stated in bethe_residual.
+Bethe residual and the ordered sums (component sums and wavefunction
+components) run on Gaussian block floats of Python ints, (re, im, e) for
+(re + i im) 2^e, with the rounding bounds stated in bethe_residual and
+_ordered_sum.  Reconstruction, the reflecting split, energy and
+reflecting_double_product run in mpmath, independent of the kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
+from numbers import Integral
 
 import mpmath
 from mpmath import mp
@@ -300,13 +302,46 @@ def _normal(re, im, e, bits: int):
     return re, im, e
 
 
-def _quotient(ar, ai, br, bi, bits: int):
-    """(ar + i ai)/(br + i bi) as a block float (re, im, e) whose larger
-    part has at least bits + 1 bits, each part rounded down."""
+def _mul(a, b, bits: int):
+    """The block-float product a b cut to the given bit length."""
+    (ar, ai, ae), (br, bi, be) = a, b
+    return _normal(ar * br - ai * bi, ar * bi + ai * br, ae + be, bits)
+
+
+def _power(z, power: int, bits: int):
+    """z^power (power >= 0) by binary powering, cut to bits after each step."""
+    p = z if power else (1, 0, 0)
+    for bit in bin(power)[3:]:
+        p = _mul(p, p, bits)
+        if bit == "1":
+            p = _mul(p, z, bits)
+    return p
+
+
+def _quotient(ar, ai, br, bi, bits: int, e: int = 0):
+    """(ar + i ai)/(br + i bi) 2^e as a block float (re, im, e') whose
+    larger part has at least bits + 1 bits, each part rounded down."""
     m = br * br + bi * bi
     nr, ni = ar * br + ai * bi, ai * br - ar * bi
     s = max(0, bits + 2 + m.bit_length() - (abs(nr) | abs(ni)).bit_length())
-    return (nr << s) // m, (ni << s) // m, -s
+    return (nr << s) // m, (ni << s) // m, e - s
+
+
+def _fixed_roots(roots, bits: int):
+    """The scale S = bits + 4 + max(0, -min_i mag(w_i)), the roots as (re, im)
+    int pairs at S, q = (h + i r) 2^-S as (h, r), q^2 w at S and the block
+    floats z = (q - w)/(q w - 1).  As |w| <= 2^mag(w) and the larger part
+    of w is at least 2^(mag(w) - 2), truncating a part errs by less than a
+    quarter of its own last bit, however small the root; r and each part
+    of q w and q^2 w are rounded down, below one unit at S."""
+    S = bits + 4 + max(0, -min((mp.mag(w) for w in roots if w), default=0))
+    ws = [(int(mp.ldexp(w.real, S)), int(mp.ldexp(w.imag, S))) for w in roots]
+    one = 1 << S
+    h, r = one >> 1, isqrt(3 << (2 * S - 2))
+    q2w = [((-h * xr - r * xi) >> S, (r * xr - h * xi) >> S) for xr, xi in ws]
+    zs = [_quotient(h - wr, r - wi, ((h * wr - r * wi) >> S) - one, (h * wi + r * wr) >> S, S)
+          for wr, wi in ws]
+    return S, ws, (h, r), q2w, zs
 
 
 def bethe_residual(rs: RootSet):
@@ -323,35 +358,26 @@ def bethe_residual(rs: RootSet):
     GUARD_BITS, exactly 0 when n = 0.
 
     Runs on Gaussian block floats of Python ints: (re, im, e) stands for
-    (re + i im) 2^e.  Each stored root enters once as an int pair at scale
-    S = precision + GUARD_BITS + 4 + max(0, -min_i mag(w_i)), where
-    |w_i| <= 2^mag(w_i) and the larger part of w_i is at least
-    2^(mag(w_i) - 2), so truncating a part at that scale errs by less
-    than a quarter of that part's own last bit, however small the root.
-    q, q^2 and q^-2 are truncated to the scale (in the imaginary part
-    only), and each part of q w_i and q^2 w_j is rounded down once per
-    root, an error below one unit at the scale in each part.  The
-    factors are then exact int differences.  One running numerator and
-    one denominator per root are cut back to S bits after every complex
-    multiply, a relative error below 2^(1.5 - S) each; z_i and N/D are
-    one int division each, rounded down to at least S + 1 bits, below
-    2^-S; and z_i^P comes by binary powering, cut to S bits after each
-    step, whose squarings double every error before them.  So, to first
-    order and relative to the same formula evaluated exactly on those
-    rounded ints, N/D is within 12 n 2^-S (at most 2n - 2 factors on each
-    side) and z_i^P within 7 P 2^-S.  The defect is the exact difference
-    of the two, aligned to the smaller exponent; only the worst
+    (re + i im) 2^e.  The stored roots, q, q^2 w_j and z_i enter at scale
+    S = precision + GUARD_BITS + 4 + max(0, -min_i mag(w_i)) (see
+    _fixed_roots) and q^-2 is truncated to S, so the factors are exact int
+    differences.  One running numerator and one denominator per root are
+    cut back to S bits after every complex multiply, a relative error
+    below 2^(1.5 - S) each; z_i and N/D are one int division each, rounded
+    down to at least S + 1 bits, below 2^-S; and z_i^P comes by binary
+    powering (_power), whose squarings double every error before them.
+    So, to first order and relative to the same formula evaluated exactly
+    on those rounded ints, N/D is within 12 n 2^-S (at most 2n - 2 factors
+    on each side) and z_i^P within 7 P 2^-S.  The defect is the exact
+    difference of the two, aligned to the smaller exponent; only the worst
     |defect|^2 converts to mpmath.
     """
     n = rs.n
     if n == 0:
         return mp.mpf(0)
     prec = rs.precision + GUARD_BITS
-    S = prec + 4 + max(0, -min((mp.mag(w) for w in rs.roots if w), default=0))
+    S, ws, (h, r), q2w, zs = _fixed_roots(rs.roots, prec)
     one = 1 << S
-    h, r = one >> 1, isqrt(3 << (2 * S - 2))  # q = (h + i r) 2^-S
-    ws = [(int(mp.ldexp(w.real, S)), int(mp.ldexp(w.imag, S))) for w in rs.roots]
-    q2w = [((-h * xr - r * xi) >> S, (r * xr - h * xi) >> S) for xr, xi in ws]
     if rs.boundary is Boundary.REFLECTING:
         power, t = 2 * rs.L, (one, 0)
     else:
@@ -379,17 +405,8 @@ def bethe_residual(rs: RootSet):
             k = (abs(dr) | abs(di)).bit_length() - S
             if k > 0:
                 dr, di, shift = dr >> k, di >> k, shift - k
-        ur, ui, ue = _quotient(nr, ni, dr, di, S)
-        ue += shift
-        # z_i = (q - w_i)/(q w_i - 1)
-        zr, zi, ze = _quotient(
-            h - wr, r - wi, ((h * wr - r * wi) >> S) - one, (h * wi + r * wr) >> S, S
-        )
-        pr, pi, pe = zr, zi, ze
-        for bit in bin(power)[3:]:
-            pr, pi, pe = _normal(pr * pr - pi * pi, 2 * pr * pi, 2 * pe, S)
-            if bit == "1":
-                pr, pi, pe = _normal(pr * zr - pi * zi, pr * zi + pi * zr, pe + ze, S)
+        ur, ui, ue = _quotient(nr, ni, dr, di, S, shift)
+        pr, pi, pe = _power(zs[i], power, S)
         e = min(pe, ue)
         er = (pr << (pe - e)) - (ur << (ue - e))
         ei = (pi << (pe - e)) - (ui << (ue - e))
@@ -415,50 +432,76 @@ def energy(rs: RootSet):
         return e
 
 
-def _ordered_sum(n: int, pair, slot, signs=(1,)):
-    """Sum over orderings x_0..x_{n-1} of the roots 0..n-1, each root also
-    carrying a sign s_k in signs, of
-    prod_k slot(k, x_k, s_k) * prod_{a<b} pair((x_a, s_a), (x_b, s_b)).
+def _sum(values, bits: int):
+    """The exact sum of block floats, cut to the given bit length."""
+    e = min(v[2] for v in values)
+    return _normal(sum(x << ve - e for x, _, ve in values),
+                   sum(y << ve - e for _, y, ve in values), e, bits)
 
-    Dynamic programme over the set S of placed (root, sign) pairs (Held and
-    Karp, J. SIAM 10, 1962): placing v at slot |S| multiplies by
-    slot(|S|, v) and by pair(u, v) for every placed u.  It visits
-    (len(signs) + 1)^n states instead of len(signs)^n n! orderings.
+
+def _ordered_sum(pairs, slots, bits: int, prec: int):
+    """Sum over orderings v_0..v_{n-1} of the roots 0..n-1, each carrying
+    one of m signs, of prod_k slot(k, v_k) prod_{a<b} pair(v_a, v_b), as an
+    mpc at prec bits, from block-float tables slots[k][v] and pairs[u][v]
+    (n = len(slots)); node v = x + n t is root x with sign index t.
+
+    Dynamic programme over the set S of placed nodes (Held and Karp,
+    J. SIAM 10, 1962), (m + 1)^n states for m^n n! orderings: placing v at
+    slot |S| multiplies the sum D(S) by slot(|S|, v) and by P(S, v) =
+    prod_{u in S} pair(u, v), which a state keeps as P(S - u, v) pair(u, v)
+    for the node u of its first move in.  Each P(S, v) and each term is
+    cut to bits once; the terms of a state, and at the end all states, are
+    added exactly and cut once.  A cut errs below 2^(1.5 - bits) relative
+    and an ordering passes at most n(n + 3)/2 + 1 of them, so to first
+    order the total is within (n + 1)(n + 2) 2^(0.5 - bits) sum |product|
+    of the exact sum on the tables.  The callers take bits >= prec + 4 +
+    ceil(log2 T) for the T = m^n n! products (see _fixed_roots), which
+    makes that below (n + 1)(n + 2) 2^(-3.5 - prec) max|product|, however
+    far the sum cancels.
     """
-    nodes = [(x, s) for x in range(n) for s in signs]
-    pairs = {(u, v): pair(u, v) for u in nodes for v in nodes if u[0] != v[0]}
-    slots = {(k, v): slot(k, *v) for k in range(n) for v in nodes}
-    # a state holds the sign of each placed root and 0 for unplaced ones
-    layer = {(0,) * n: mp.mpc(1)}
-    for k in range(n):
+    n = len(slots)
+    # a state is a bit mask: bit x when root x is placed, and bit n + x
+    # when its sign index is 1
+    nodes = [(v, 1 << v % n, 1 << v % n | v // n << n + v % n)
+             for v in range(len(slots[0]) if n else 0)]
+    layer = {0: ((1, 0, 0), [(1, 0, 0)] * len(nodes))}
+    for slot in slots:
         nxt = {}
-        for state, acc in layer.items():
-            placed = [(u, s) for u, s in enumerate(state) if s]
-            for v in nodes:
-                x, s = v
-                if state[x]:
+        for state, ((dr, di, de), prods) in layer.items():
+            for v, bit, key in nodes:
+                if state & bit:
                     continue
-                term = acc * slots[k, v]
-                for u in placed:
-                    term *= pairs[u, v]
-                key = state[:x] + (s,) + state[x + 1 :]
-                nxt[key] = nxt.get(key, 0) + term
-        layer = nxt
-    return sum(layer.values(), mp.mpc(0))
+                (sr, si, se), (pr, pi, pe) = slot[v], prods[v]
+                tr, ti = dr * sr - di * si, dr * si + di * sr
+                term = _normal(tr * pr - ti * pi, tr * pi + ti * pr, de + se + pe, bits)
+                nxt.setdefault(state | key, (prods, pairs[v], []))[2].append(term)
+        layer = {}
+        for state, (parent, pair, terms) in nxt.items():
+            prods = [None if state & bit else _mul(parent[v], pair[v], bits) for v, bit, _ in nodes]
+            layer[state] = _sum(terms, bits), prods
+    re, im, e = _sum([d for d, _ in layer.values()], bits)
+    with mp.workprec(prec):
+        return mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
+
+
+def _closed_pairs(ws, q2w, S: int):
+    """(w_u - q^2 w_v)/(w_u - w_v) for u != v at scale S."""
+    return [[_quotient(ur - yr, ui - yi, ur - xr, ui - xi, S) if u != v else None
+             for v, ((xr, xi), (yr, yi)) in enumerate(zip(ws, q2w))]
+            for u, (ur, ui) in enumerate(ws)]
 
 
 def _perm_sum(rs: RootSet, amp_power: int):
-    with mp.workprec(rs.precision + GUARD_BITS):
-        q = _qphase()
-        q2 = q * q
-        ws = rs.bethe_roots
-        n = len(ws)
-        amp = [1 / (q * _z(w, q) ** amp_power) for w in ws]
-        return _ordered_sum(
-            n,
-            lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[v[0]] - ws[u[0]]),
-            lambda k, x, s: amp[x] ** (n - 1 - k),
-        )
+    """Sum over orderings of prod_k amp_(x_k)^(n-1-k) prod_{a<b}
+    (w_a - q^2 w_b)/(w_b - w_a), amp = 1/(q z^amp_power), over the Bethe
+    roots, taken with both signs flipped: the closed pairs and -amp =
+    -conj(q)/z^amp_power each flip every product by (-1)^(n(n-1)/2)."""
+    n, prec = rs.n, rs.precision + GUARD_BITS
+    S, ws, (h, r), q2w, zs = _fixed_roots(rs.bethe_roots, prec + (factorial(n) - 1).bit_length())
+    powers = (_power(z, amp_power, S) for z in zs)
+    amps = [_quotient(-h, r, zr, zi, S, -S - ze) for zr, zi, ze in powers]
+    slots = [[_power(a, n - 1 - k, S) for a in amps] for k in range(n)]
+    return _ordered_sum(_closed_pairs(ws, q2w, S), slots, S, prec)
 
 
 def component_sum_small(rs: RootSet):
@@ -475,45 +518,42 @@ def component_sum_large(rs: RootSet):
 
 def wavefunction_component(rs: RootSet, positions):
     """Bethe wavefunction component psi(x_1..x_n) for strictly increasing
-    site positions (1-based).
+    integer site positions (1-based).
 
     Closed chains sum plain amplitudes over the n! orderings of the roots;
     the reflecting chain sums over orderings and a sign per root (2^n n!
-    terms).  Both go through the ordered-sum dynamic programme, in 2^n and
-    3^n states respectively.
+    terms), both through _ordered_sum with the closed-chain pairs
+    C(u, v) = (w_u - q^2 w_v)/(w_u - w_v) over the stored roots.  There the
+    copy of root a with sign index t is the stored root w_v, v = a + n t,
+    with mirror w_v' = 1/w_v; its slot z^(x_k - L) (1 + q/z)/(z - 1/z) at
+    z = z_v is z_v'^(L - x_k) (1 - q w_v)/(w_v - w_v'), and a pair of copies
+    u of a and v of b, (q^2 w_u' - w_v')(q^2 - w_u w_v)/((w_a - w_b)(1 -
+    w_a' w_b')), is C(v, u') C(v', u').
     """
     positions = list(positions)
     n = rs.n
     if len(positions) != n:
         raise ValueError(f"need {n} positions")
+    if not all(isinstance(x, Integral) for x in positions):
+        raise ValueError("positions must be integers")
     if any(positions[i] >= positions[i + 1] for i in range(n - 1)):
         raise ValueError("positions must be strictly increasing")
     if n and (positions[0] < 1 or positions[-1] > rs.L):
         raise ValueError("positions must lie in 1..L")
-    with mp.workprec(rs.precision + GUARD_BITS):
-        q = _qphase()
-        q2 = q * q
-        ws = rs.bethe_roots
-        zs = [_z(w, q) for w in ws]
-        if rs.boundary is not Boundary.REFLECTING:
-            return _ordered_sum(
-                n,
-                lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[u[0]] - ws[v[0]]),
-                lambda k, x, s: zs[x] ** positions[k],
-            )
-        L = rs.L
-
-        def slot(k, x, s):
-            z = zs[x] ** s
-            return z ** (positions[k] - L) * (1 + q / z) / (z - 1 / z)
-
-        def pair(u, v):
-            (a, s), (b, t) = u, v
-            wa, wb = ws[a] ** s, ws[b] ** t
-            num = (q2 / wa - 1 / wb) * (q2 - wa * wb)
-            return num / ((ws[a] - ws[b]) * (1 - 1 / (ws[a] * ws[b])))
-
-        return _ordered_sum(n, pair, slot, signs=(1, -1))
+    prec, reflecting = rs.precision + GUARD_BITS, rs.boundary is Boundary.REFLECTING
+    terms = factorial(n) << n if reflecting else factorial(n)
+    S, ws, (h, r), q2w, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
+    closed = _closed_pairs(ws, q2w, S)
+    if not reflecting:
+        return _ordered_sum(closed, [[_power(z, x, S) for z in zs] for x in positions], S, prec)
+    # index v - n is the mirror of v
+    consts = [_quotient((1 << S) - (h * wr - r * wi >> S), -(h * wi + r * wr >> S),
+                        wr - ws[v - n][0], wi - ws[v - n][1], S) for v, (wr, wi) in enumerate(ws)]
+    slots = [[_mul(c, _power(zs[v - n], rs.L - x, S), S) for v, c in enumerate(consts)]
+             for x in positions]
+    pairs = [[_mul(closed[v][u - n], closed[v - n][u - n], S) if (u - v) % n else None
+              for v in range(2 * n)] for u in range(2 * n)]
+    return _ordered_sum(pairs, slots, S, prec)
 
 
 def reflecting_double_product(rs: RootSet):

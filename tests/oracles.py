@@ -5,7 +5,8 @@ takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, a point evaluator for the
 closed rational form of Q_n, the special-value check, and the Aberth
-iteration and the Bethe residual in mpmath arithmetic.
+iteration, the Bethe residual, the ordered-sum dynamic programme and the
+wavefunction component in mpmath arithmetic.
 """
 
 from __future__ import annotations
@@ -537,3 +538,94 @@ def bethe_residual_mpmath(rs: RootSet):
                     den *= wj - q2w[i]
             worst = max(worst, abs(_z(wi, q) ** power - num / den))
         return worst
+
+
+def ordered_sum_mpmath(n: int, pair, slot, signs=(1,)):
+    """Sum over orderings x_0..x_{n-1} of the roots 0..n-1, each root also
+    carrying a sign s_k in signs, of
+    prod_k slot(k, x_k, s_k) * prod_{a<b} pair((x_a, s_a), (x_b, s_b)).
+
+    Dynamic programme over the set S of placed (root, sign) pairs (Held and
+    Karp, J. SIAM 10, 1962): placing v at slot |S| multiplies by
+    slot(|S|, v) and by pair(u, v) for every placed u.  It visits
+    (len(signs) + 1)^n states instead of len(signs)^n n! orderings.
+    """
+    nodes = [(x, s) for x in range(n) for s in signs]
+    pairs = {(u, v): pair(u, v) for u in nodes for v in nodes if u[0] != v[0]}
+    slots = {(k, v): slot(k, *v) for k in range(n) for v in nodes}
+    # a state holds the sign of each placed root and 0 for unplaced ones
+    layer = {(0,) * n: mp.mpc(1)}
+    for k in range(n):
+        nxt = {}
+        for state, acc in layer.items():
+            placed = [(u, s) for u, s in enumerate(state) if s]
+            for v in nodes:
+                x, s = v
+                if state[x]:
+                    continue
+                term = acc * slots[k, v]
+                for u in placed:
+                    term *= pairs[u, v]
+                key = state[:x] + (s,) + state[x + 1 :]
+                nxt[key] = nxt.get(key, 0) + term
+        layer = nxt
+    return sum(layer.values(), mp.mpc(0))
+
+
+def perm_sum_mpmath(rs: RootSet, amp_power: int):
+    """Permutation sum over the Bethe roots with amplitude 1/(q z^amp_power)
+    (amp_power 1: smallest component, 2: largest), in mpmath."""
+    with mp.workprec(rs.precision + GUARD_BITS):
+        q = _qphase()
+        q2 = q * q
+        ws = rs.bethe_roots
+        n = len(ws)
+        amp = [1 / (q * _z(w, q) ** amp_power) for w in ws]
+        return ordered_sum_mpmath(
+            n,
+            lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[v[0]] - ws[u[0]]),
+            lambda k, x, s: amp[x] ** (n - 1 - k),
+        )
+
+
+def wavefunction_component_mpmath(rs: RootSet, positions):
+    """Bethe wavefunction component psi(x_1..x_n) for strictly increasing
+    site positions (1-based).
+
+    Closed chains sum plain amplitudes over the n! orderings of the roots;
+    the reflecting chain sums over orderings and a sign per root (2^n n!
+    terms).  Both go through the ordered-sum dynamic programme, in 2^n and
+    3^n states respectively.
+    """
+    positions = list(positions)
+    n = rs.n
+    if len(positions) != n:
+        raise ValueError(f"need {n} positions")
+    if any(positions[i] >= positions[i + 1] for i in range(n - 1)):
+        raise ValueError("positions must be strictly increasing")
+    if n and (positions[0] < 1 or positions[-1] > rs.L):
+        raise ValueError("positions must lie in 1..L")
+    with mp.workprec(rs.precision + GUARD_BITS):
+        q = _qphase()
+        q2 = q * q
+        ws = rs.bethe_roots
+        zs = [_z(w, q) for w in ws]
+        if rs.boundary is not Boundary.REFLECTING:
+            return ordered_sum_mpmath(
+                n,
+                lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[u[0]] - ws[v[0]]),
+                lambda k, x, s: zs[x] ** positions[k],
+            )
+        L = rs.L
+
+        def slot(k, x, s):
+            z = zs[x] ** s
+            return z ** (positions[k] - L) * (1 + q / z) / (z - 1 / z)
+
+        def pair(u, v):
+            (a, s), (b, t) = u, v
+            wa, wb = ws[a] ** s, ws[b] ** t
+            num = (q2 / wa - 1 / wb) * (q2 - wa * wb)
+            return num / ((ws[a] - ws[b]) * (1 - 1 / (ws[a] * ws[b])))
+
+        return ordered_sum_mpmath(n, pair, slot, signs=(1, -1))

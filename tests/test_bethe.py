@@ -28,7 +28,14 @@ from betheq.qfunctions import (
     elem_reflecting,
     elem_twisted,
 )
-from oracles import aberth_mpmath, bethe_residual_mpmath, to_w, to_z
+from oracles import (
+    aberth_mpmath,
+    bethe_residual_mpmath,
+    perm_sum_mpmath,
+    to_w,
+    to_z,
+    wavefunction_component_mpmath,
+)
 
 PREC = 192
 TOL = mp.mpf(2) ** (30 - PREC)
@@ -407,38 +414,78 @@ class TestComponentSums:
         assert abs(component_sum_small(rs) - a) < mp.mpf(10) ** -20 * a
         assert abs(component_sum_large(rs) - a * a) < mp.mpf(10) ** -20 * a * a
 
+    def test_scale_covers_the_cancellation(self):
+        # The small sum at n = 12 cancels 12! products down to A_12.  With
+        # ceil(log2 12!) = 29 extra bits in its scale it lands at 2^-316.2
+        # relative, where the rounding of the roots themselves sets the
+        # floor; a fixed 16 extra bits leave it at 2^-312.3, none at 2^-295.
+        rs = solve_roots(elem_periodic(12), 256)
+        a = asm_count(12)
+        with mp.workprec(512):
+            assert abs(component_sum_small(rs) - a) <= mp.mpf(2) ** -314 * a
+
 
 class TestOrderedSum:
     """The subset dynamic programme against direct enumeration of every
-    ordering (and every sign choice)."""
+    ordering (and every sign choice), on random block-float tables."""
 
     @pytest.mark.parametrize("signs", [(1,), (1, -1)])
     @pytest.mark.parametrize("n", range(5))
     def test_matches_enumeration(self, n, signs):
         rng = random.Random(100 * n + len(signs))
+        m = len(signs)
 
         def rand():
-            return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            return rng.randrange(-(2**60), 2**60), rng.randrange(-(2**60), 2**60), -60
 
-        nodes = [(x, s) for x in range(n) for s in signs]
-        pair = {(u, v): rand() for u in nodes for v in nodes}
-        slot = {(k, x, s): rand() for k in range(n) for x, s in nodes}
+        def value(t):
+            return mp.mpc(mp.mpf((t[0], t[2])), mp.mpf((t[1], t[2])))
+
+        nodes = range(m * n)
+        pair = [[rand() for v in nodes] for u in nodes]
+        slot = [[rand() for v in nodes] for k in range(n)]
+        got = bethe._ordered_sum(pair, slot, PREC, PREC)
         with mp.workprec(PREC):
             want = mp.mpc(0)
             for perm in permutations(range(n)):
-                for sigma in product(signs, repeat=n):
+                for sigma in product(range(m), repeat=n):
+                    vs = [x + n * t for x, t in zip(perm, sigma)]
                     term = mp.mpc(1)
                     for k in range(n):
-                        term *= slot[k, perm[k], sigma[k]]
+                        term *= value(slot[k][vs[k]])
                         for b in range(k + 1, n):
-                            term *= pair[(perm[k], sigma[k]), (perm[b], sigma[b])]
+                            term *= value(pair[vs[k]][vs[b]])
                     want += term
-            got = bethe._ordered_sum(
-                n, lambda u, v: pair[u, v], lambda k, x, s: slot[k, x, s], signs
-            )
             assert abs(got - want) < TOL * max(1, abs(want))
         if n == 0:
             assert got == 1
+
+
+class TestOrderedSumOracle:
+    """The block-float component sums and a wavefunction component at
+    seeded positions against the mpmath ordered sum on the same roots, run
+    512 bits above the working precision.  At 4096 bits n stops at 3: the
+    mpmath oracle takes 0.3-0.9 s a case from n = 4 there."""
+
+    CASES = [
+        (b, n, precision)
+        for b in Boundary
+        for n in range(1, 5 if b is Boundary.REFLECTING else 7)
+        for precision in (128, 256)
+    ] + [(b, n, 4096) for b in Boundary for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("boundary, n, precision", CASES)
+    def test_agrees_to_the_precision(self, boundary, n, precision):
+        rs = solve_roots(elem_for(boundary, n), precision)
+        x = sorted(random.Random(1000 * n + precision).sample(range(1, rs.L + 1), n))
+        ref = replace(rs, precision=precision + 512)
+        values = [(wavefunction_component(rs, x), wavefunction_component_mpmath(ref, x)),
+                  (component_sum_small(rs), perm_sum_mpmath(ref, 1)),
+                  (component_sum_large(rs), perm_sum_mpmath(ref, 2))]
+        with mp.workprec(precision + 512):
+            for got, want in values:
+                assert isinstance(got, mp.mpc)
+                assert abs(got - want) <= mp.mpf(2) ** (16 - precision) * abs(want)
 
 
 class TestWavefunction:
@@ -450,6 +497,10 @@ class TestWavefunction:
             wavefunction_component(rs, [3, 2])
         with pytest.raises(ValueError):
             wavefunction_component(rs, [0, 2])
+        with pytest.raises(ValueError):
+            wavefunction_component(rs, [1.5, 3])
+        with pytest.raises(ValueError):
+            wavefunction_component(solve_roots(elem_reflecting(2), PREC), [1.5, 3])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_periodic_component_ratio(self, n):
