@@ -10,15 +10,14 @@ One Aberth kernel runs twice (Bini, Numer. Algorithms 13, 1996; Bini and
 Robol, J. Comput. Appl. Math. 272, 2014), in Gaussian fixed point on
 Python ints: a value is an (re, im) int pair times 2^-scale.  A pass at
 scale 53 walks in from a circle and seeds the full pass, whose scale is
-the working precision of solve_roots.  Each root stops moving once its
-relative step is at most 2^(4 - precision) or its value |p(x)| is within
-the fixed-point rounding bound of Horner's rule, so each pass ends at its
-rounding floor instead of running into its iteration cap there.  The
-Bethe residual and the ordered sums (component sums and wavefunction
-components) run on Gaussian block floats of Python ints, (re, im, e) for
-(re + i im) 2^e, with the rounding bounds stated in bethe_residual and
-_ordered_sum.  Reconstruction, the reflecting split, energy and
-reflecting_double_product run in mpmath, independent of the kernels.
+the working precision of solve_roots; each ends at its rounding floor.
+Every value read off the roots (residual, energy, ordered sums and the
+reflecting product) runs on Gaussian block floats of Python ints,
+(re, im, e) for (re + i im) 2^e, from one int form of the roots, q and
+z = (q - w)/(q w - 1) (_fixed_roots), and states its rounding bound.
+mpmath runs only at the module's edges: the start circle, the stall
+report, the reconstruction gate, the reflecting split and the
+conversion of results.
 """
 
 from __future__ import annotations
@@ -34,14 +33,8 @@ from mpmath import mp
 from .qfunctions import Boundary, QPolynomial
 
 __all__ = [
-    "RootSet",
-    "NonConvergenceError",
-    "solve_roots",
-    "bethe_residual",
-    "energy",
-    "component_sum_small",
-    "component_sum_large",
-    "wavefunction_component",
+    "RootSet", "NonConvergenceError", "solve_roots", "bethe_residual", "energy",
+    "component_sum_small", "component_sum_large", "wavefunction_component",
     "reflecting_double_product",
 ]
 
@@ -67,16 +60,6 @@ class NonConvergenceError(ArithmeticError):
 
 def _mpf_frac(x: Fraction):
     return mp.mpf(x.numerator) / x.denominator
-
-
-def _qphase():
-    """q = exp(i pi/3) at the current working precision."""
-    return mp.expjpi(mp.mpf(1) / 3)
-
-
-def _z(w, q):
-    """z = (q - w)/(q w - 1) at the caller's working precision."""
-    return (q - w) / (q * w - 1)
 
 
 @dataclass(frozen=True)
@@ -329,19 +312,19 @@ def _quotient(ar, ai, br, bi, bits: int, e: int = 0):
 
 def _fixed_roots(roots, bits: int):
     """The scale S = bits + 4 + max(0, -min_i mag(w_i)), the roots as (re, im)
-    int pairs at S, q = (h + i r) 2^-S as (h, r), q^2 w at S and the block
-    floats z = (q - w)/(q w - 1).  As |w| <= 2^mag(w) and the larger part
-    of w is at least 2^(mag(w) - 2), truncating a part errs by less than a
-    quarter of its own last bit, however small the root; r and each part
+    int pairs at S, q = (h + i r) 2^-S as (h, r), q^2 w and q w - 1 at S and
+    the block floats z = (q - w)/(q w - 1).  As |w| <= 2^mag(w) and the larger
+    part of w is at least 2^(mag(w) - 2), truncating a part errs by less than
+    a quarter of its own last bit, however small the root; r and each part
     of q w and q^2 w are rounded down, below one unit at S."""
     S = bits + 4 + max(0, -min((mp.mag(w) for w in roots if w), default=0))
     ws = [(int(mp.ldexp(w.real, S)), int(mp.ldexp(w.imag, S))) for w in roots]
     one = 1 << S
     h, r = one >> 1, isqrt(3 << (2 * S - 2))
     q2w = [((-h * xr - r * xi) >> S, (r * xr - h * xi) >> S) for xr, xi in ws]
-    zs = [_quotient(h - wr, r - wi, ((h * wr - r * wi) >> S) - one, (h * wi + r * wr) >> S, S)
-          for wr, wi in ws]
-    return S, ws, (h, r), q2w, zs
+    qw1 = [(((h * xr - r * xi) >> S) - one, (h * xi + r * xr) >> S) for xr, xi in ws]
+    zs = [_quotient(h - wr, r - wi, ar, ai, S) for (wr, wi), (ar, ai) in zip(ws, qw1)]
+    return S, ws, (h, r), q2w, qw1, zs
 
 
 def bethe_residual(rs: RootSet):
@@ -357,8 +340,7 @@ def bethe_residual(rs: RootSet):
     (q^2 - w_i w_j)/(1 - q^2 w_i w_j).  Returns an mpf at precision +
     GUARD_BITS, exactly 0 when n = 0.
 
-    Runs on Gaussian block floats of Python ints: (re, im, e) stands for
-    (re + i im) 2^e.  The stored roots, q, q^2 w_j and z_i enter at scale
+    The stored roots, q, q^2 w_j and z_i enter at scale
     S = precision + GUARD_BITS + 4 + max(0, -min_i mag(w_i)) (see
     _fixed_roots) and q^-2 is truncated to S, so the factors are exact int
     differences.  One running numerator and one denominator per root are
@@ -376,7 +358,7 @@ def bethe_residual(rs: RootSet):
     if n == 0:
         return mp.mpf(0)
     prec = rs.precision + GUARD_BITS
-    S, ws, (h, r), q2w, zs = _fixed_roots(rs.roots, prec)
+    S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.roots, prec)
     one = 1 << S
     if rs.boundary is Boundary.REFLECTING:
         power, t = 2 * rs.L, (one, 0)
@@ -418,18 +400,23 @@ def bethe_residual(rs: RootSet):
 
 
 def energy(rs: RootSet):
-    """Eigenvalue -L'/2 * Delta - sum (z_i + 1/z_i - 2 Delta) at
-    Delta = -1/2, with L' = L for closed chains and L - 1 for the
-    reflecting chain."""
-    with mp.workprec(rs.precision + GUARD_BITS):
-        q = _qphase()
-        delta = mp.mpf(-1) / 2
-        lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
-        e = -lfac * delta / 2
-        for wi in rs.bethe_roots:
-            z = _z(wi, q)
-            e -= z + 1 / z - 2 * delta
-        return e
+    """Eigenvalue -L'/2 Delta - sum (z_i + 1/z_i - 2 Delta) at Delta = -1/2,
+    L'/4 - sum (z_i + 1/z_i + 1), with L' = L for closed chains and L - 1
+    for the reflecting chain; an mpc at precision + GUARD_BITS.
+
+    At the scale S of bethe_residual, z_i and 1/z_i = (q w_i - 1)/(q - w_i)
+    are one int division each, below 2^-S relative, and -E, their sum with
+    n - L'/4, is exact and cut once to S bits: E is within
+    2^-S sum (|z_i| + |1/z_i|) + 2^(1.5 - S) |E| of the formula evaluated
+    exactly on the rounded ints.
+    """
+    prec = rs.precision + GUARD_BITS
+    S, ws, (h, r), _, qw1, zs = _fixed_roots(rs.bethe_roots, prec)
+    lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
+    inv = [_quotient(ar, ai, h - wr, r - wi, S) for (wr, wi), (ar, ai) in zip(ws, qw1)]
+    re, im, e = _sum([(4 * rs.n - lfac, 0, -2), *zs, *inv], S)
+    with mp.workprec(prec):
+        return -mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
 
 
 def _sum(values, bits: int):
@@ -475,8 +462,10 @@ def _ordered_sum(pairs, slots, bits: int, prec: int):
                 tr, ti = dr * sr - di * si, dr * si + di * sr
                 term = _normal(tr * pr - ti * pi, tr * pi + ti * pr, de + se + pe, bits)
                 nxt.setdefault(state | key, (prods, pairs[v], []))[2].append(term)
+        # pop in order: frees a parent's tables after its last child, keeps each first parent
         layer = {}
-        for state, (parent, pair, terms) in nxt.items():
+        for state in list(nxt):
+            parent, pair, terms = nxt.pop(state)
             prods = [None if state & bit else _mul(parent[v], pair[v], bits) for v, bit, _ in nodes]
             layer[state] = _sum(terms, bits), prods
     re, im, e = _sum([d for d, _ in layer.values()], bits)
@@ -497,7 +486,7 @@ def _perm_sum(rs: RootSet, amp_power: int):
     roots, taken with both signs flipped: the closed pairs and -amp =
     -conj(q)/z^amp_power each flip every product by (-1)^(n(n-1)/2)."""
     n, prec = rs.n, rs.precision + GUARD_BITS
-    S, ws, (h, r), q2w, zs = _fixed_roots(rs.bethe_roots, prec + (factorial(n) - 1).bit_length())
+    S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.bethe_roots, prec + (factorial(n) - 1).bit_length())
     powers = (_power(z, amp_power, S) for z in zs)
     amps = [_quotient(-h, r, zr, zi, S, -S - ze) for zr, zi, ze in powers]
     slots = [[_power(a, n - 1 - k, S) for a in amps] for k in range(n)]
@@ -542,13 +531,13 @@ def wavefunction_component(rs: RootSet, positions):
         raise ValueError("positions must lie in 1..L")
     prec, reflecting = rs.precision + GUARD_BITS, rs.boundary is Boundary.REFLECTING
     terms = factorial(n) << n if reflecting else factorial(n)
-    S, ws, (h, r), q2w, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
+    S, ws, _, q2w, qw1, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
     closed = _closed_pairs(ws, q2w, S)
     if not reflecting:
         return _ordered_sum(closed, [[_power(z, x, S) for z in zs] for x in positions], S, prec)
     # index v - n is the mirror of v
-    consts = [_quotient((1 << S) - (h * wr - r * wi >> S), -(h * wi + r * wr >> S),
-                        wr - ws[v - n][0], wi - ws[v - n][1], S) for v, (wr, wi) in enumerate(ws)]
+    consts = [_quotient(-ar, -ai, wr - ws[v - n][0], wi - ws[v - n][1], S)
+              for v, ((wr, wi), (ar, ai)) in enumerate(zip(ws, qw1))]
     slots = [[_mul(c, _power(zs[v - n], rs.L - x, S), S) for v, c in enumerate(consts)]
              for x in positions]
     pairs = [[_mul(closed[v][u - n], closed[v - n][u - n], S) if (u - v) % n else None
@@ -558,21 +547,32 @@ def wavefunction_component(rs: RootSet, positions):
 
 def reflecting_double_product(rs: RootSet):
     """The double product prod_i prod_j (1 + z_i + z_i z_j) over the 2n
-    reflecting variables, excluding j = i and the mirror index j = i +- n.
+    reflecting variables, excluding j = i and the mirror j = i +- n by
+    index, so that rounding cannot drop factors; an mpc at precision +
+    GUARD_BITS.
 
-    Exclusion is by index rather than by value, so coincidences from
-    rounding cannot drop factors.
+    Each factor is (1 - 2q)(w_i - q^2 w_j)/((q w_i - 1)(q w_j - 1)) (see
+    conjectures._double_product) and (1 - 2q)^2 = -3, so the product is
+    3^(2n(n-1)) prod (w_i - q^2 w_j) / C^(4(n-1)), C = prod_i (q w_i - 1).
+    At the scale S of bethe_residual each w_i - q^2 w_j is an exact int
+    difference.  The 4n(n-1) factors and the 2n of C are cut to S bits
+    after each multiply (below 2^(1.5 - S) relative), C^(4(n-1)) comes by
+    binary powering and the quotient is one int division, so to first order
+    the product is within 30 n^2 2^-S of the formula on the rounded ints.
     """
     if rs.boundary is not Boundary.REFLECTING:
         raise ValueError("needs a reflecting RootSet")
-    with mp.workprec(rs.precision + GUARD_BITS):
-        q = _qphase()
-        m = 2 * rs.n
-        zs = [_z(w, q) for w in rs.roots]
-        total = mp.mpc(1)
-        for i in range(m):
-            for j in range(m):
-                if j == i or j == (i + rs.n) % m:
-                    continue
-                total *= 1 + zs[i] + zs[i] * zs[j]
-        return total
+    n, prec = rs.n, rs.precision + GUARD_BITS
+    S, ws, _, q2w, qw1, _ = _fixed_roots(rs.roots, prec)
+    num = (3 ** (2 * n * (n - 1)), 0, 0)
+    for i, (wr, wi) in enumerate(ws):
+        for j, (yr, yi) in enumerate(q2w):
+            if j % n != i % n:
+                num = _mul(num, (wr - yr, wi - yi, -S), S)
+    c = (1, 0, 0)
+    for ar, ai in qw1:
+        c = _mul(c, (ar, ai, -S), S)
+    (nr, ni, ne), (cr, ci, ce) = num, _power(c, 4 * max(n - 1, 0), S)
+    re, im, e = _quotient(nr, ni, cr, ci, S, ne - ce)
+    with mp.workprec(prec):
+        return mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))

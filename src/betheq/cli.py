@@ -89,10 +89,6 @@ def _cmd_asm(args) -> int:
     return EXIT_OK
 
 
-# every identity and how it is judged lives in conjectures; this is the same dict
-VERIFIERS = conjectures.VERIFIERS
-
-
 def _nonconvergence_json(name: str, n: int, exc: bethe.NonConvergenceError) -> dict:
     """A report entry for an identity whose roots did not converge."""
     return {
@@ -112,7 +108,7 @@ def _cmd_verify(args) -> int:
     becomes an unequal entry with the error's fields, the others still
     run, and the exit code is then EXIT_NUMERIC."""
     if args.which == "all":
-        names, ns = list(VERIFIERS), range(1, args.max_n + 1)
+        names, ns = list(conjectures.VERIFIERS), range(1, args.max_n + 1)
     else:
         names, ns = [args.which], [args.n]
     entries = []
@@ -121,7 +117,7 @@ def _cmd_verify(args) -> int:
     for name in names:
         for n in ns:
             try:
-                entry = VERIFIERS[name](n, args.precision).to_json()
+                entry = conjectures.VERIFIERS[name](n, args.precision).to_json()
             except bethe.NonConvergenceError as exc:
                 print(f"error: {name} n={n}: {exc}", file=sys.stderr)
                 entry = _nonconvergence_json(name, n, exc)
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("verify", help="verify one identity (or the whole suite)")
-    p.add_argument("which", choices=[*VERIFIERS, "all"])
+    p.add_argument("which", choices=[*conjectures.VERIFIERS, "all"])
     p.add_argument("--n", type=int)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)

@@ -14,7 +14,6 @@ from fractions import Fraction
 import mpmath
 
 __all__ = [
-    "Fraction",
     "Cyclo",
     "Poly",
     "QINV",
@@ -52,11 +51,12 @@ def gen_binom(a, k: int) -> Fraction:
     """binom(a, k) with integer tops truncated below the diagonal.
 
     k < 0 gives 0.  For integer a the value is the standard binomial when
-    a >= k and 0 otherwise, including negative a.  For non-integer rational
-    a the falling-factorial product is used.  The truncation for negative
-    integer tops is the convention under which the paper's closed-form
-    e-value sums come out right (kept as the reference formulas in
-    ``tests/test_qfunctions.py``); see the n=1 twisted root w = 1/2.
+    a >= k and 0 otherwise, including negative a; for non-integer a it is
+    falling_binom(a, k).  The truncation is the convention under which the
+    paper's binomial sums for the e-values come out right (the reference
+    formulas in ``tests/test_qfunctions.py``; see the n=1 twisted root
+    w = 1/2).  The program uses falling_binom only, and this stays here
+    because the benchmark counts its calls (``perfbench/spans.py``).
     """
     if k < 0:
         return Fraction(0)

@@ -24,7 +24,6 @@ from .exact import (
     ExactDivisionError,
     Poly,
     falling_binom,
-    gen_binom,
     poly_div_exact,
 )
 
@@ -83,9 +82,6 @@ class QPolynomial:
             coeffs[n - l] = (-1) ** l * e
         return Poly(coeffs)
 
-    def __call__(self, w):
-        return self.poly()(w)
-
 
 def _rational_form(boundary: Boundary, n: int):
     """The closed rational form of Q_n as (terms, base, power, c).
@@ -99,24 +95,24 @@ def _rational_form(boundary: Boundary, n: int):
     terms = []
     if boundary is Boundary.PERIODIC:
         for k in range(n + 1):
-            a = (-1) ** k * gen_binom(n - third, k) * gen_binom(n + third, n - k)
+            a = (-1) ** k * falling_binom(n - third, k) * falling_binom(n + third, n - k)
             terms += [((-1) ** n * a, 3 * k + 1), (a, 3 * n - 3 * k)]
-        return terms, 1, 2 * n + 1, gen_binom(n - third, n)
+        return terms, 1, 2 * n + 1, falling_binom(n - third, n)
     if boundary is Boundary.TWISTED:
         for k in range(n + 1):
-            a = (-1) ** k * gen_binom(n - 2 * third, n - k)
+            a = (-1) ** k * falling_binom(n - 2 * third, n - k)
             terms += [
-                ((-1) ** n * a * gen_binom(n - third, k), 3 * k),
-                (-a * gen_binom(n - third, k - 1), 3 * n - 3 * k + 2),
+                ((-1) ** n * a * falling_binom(n - third, k), 3 * k),
+                (-a * falling_binom(n - third, k - 1), 3 * n - 3 * k + 2),
             ]
-        return terms, 1, 2 * n, gen_binom(n - third, n)
+        return terms, 1, 2 * n, falling_binom(n - third, n)
     up, down = 2 * n + 2 * third, 2 * n - 2 * third
     for k in range(n + 1):
         sgn = (-1) ** (n + k)
-        terms.append((sgn * gen_binom(up, n - k) * gen_binom(down, n + k), 3 * k + 1))
+        terms.append((sgn * falling_binom(up, n - k) * falling_binom(down, n + k), 3 * k + 1))
         if k:
-            terms.append((sgn * gen_binom(up, n + k) * gen_binom(down, n - k), 1 - 3 * k))
-    return terms, 2, 2 * n, gen_binom(down, 2 * n)
+            terms.append((sgn * falling_binom(up, n + k) * falling_binom(down, n - k), 1 - 3 * k))
+    return terms, 2, 2 * n, falling_binom(down, 2 * n)
 
 
 def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:

@@ -5,20 +5,22 @@ takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, a point evaluator for the
 closed rational form of Q_n, the special-value check, and the Aberth
-iteration, the Bethe residual, the ordered-sum dynamic programme and the
-wavefunction component in mpmath arithmetic.
+iteration, the Bethe residual, the energy, the ordered-sum dynamic
+programme, the wavefunction component and the reflecting double product
+in mpmath arithmetic, with their own q and variable change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
 
 from betheq.asmcounts import _as_int
-from betheq.bethe import GUARD_BITS, NonConvergenceError, RootSet, _qphase, _z
+from betheq.bethe import GUARD_BITS, NonConvergenceError, RootSet
 from betheq.detlab import _check_square, det_exact
 from betheq.exact import Cyclo
 from betheq.qfunctions import Boundary, _rational_form, elem_periodic, q_at_qinv
@@ -363,6 +365,37 @@ def asm_count_alt(n: int) -> int:
 # --- the variable change w <-> z --------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _qphase_at(prec: int):
+    with mp.workprec(prec):
+        return mp.expjpi(mp.mpf(1) / 3)
+
+
+def _qphase():
+    """q = exp(i pi/3) at the current working precision, computed once per
+    precision (a cosine and sine series costs about 4 ms at 4600 bits)."""
+    return _qphase_at(mp.prec)
+
+
+def _z(w, q):
+    """z = (q - w)/(q w - 1) at the caller's working precision."""
+    return (q - w) / (q * w - 1)
+
+
+def _pow(z, k: int):
+    """z^k by binary powering with mpmath multiplication (k < 0 inverts).
+    An mpc ** int takes exp(k log z) once k times the precision reaches
+    10000 bits, a log and an exp per power from about 4096 bits on."""
+    if k < 0:
+        return 1 / _pow(z, -k)
+    p = mp.mpc(1)
+    for bit in bin(k)[2:]:
+        p *= p
+        if bit == "1":
+            p *= z
+    return p
+
+
 def to_z(w, prec: int = 53):
     """Variable change z = (q - w)/(q w - 1); pole at w = 1/q."""
     with mp.workprec(prec):
@@ -536,8 +569,23 @@ def bethe_residual_mpmath(rs: RootSet):
                 if j % n != i:
                     num *= q2w[j] - wi
                     den *= wj - q2w[i]
-            worst = max(worst, abs(_z(wi, q) ** power - num / den))
+            worst = max(worst, abs(_pow(_z(wi, q), power) - num / den))
         return worst
+
+
+def energy_mpmath(rs: RootSet):
+    """Eigenvalue -L'/2 * Delta - sum (z_i + 1/z_i - 2 Delta) at
+    Delta = -1/2, with L' = L for closed chains and L - 1 for the
+    reflecting chain."""
+    with mp.workprec(rs.precision + GUARD_BITS):
+        q = _qphase()
+        delta = mp.mpf(-1) / 2
+        lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
+        e = -lfac * delta / 2
+        for wi in rs.bethe_roots:
+            z = _z(wi, q)
+            e -= z + 1 / z - 2 * delta
+        return e
 
 
 def ordered_sum_mpmath(n: int, pair, slot, signs=(1,)):
@@ -580,11 +628,11 @@ def perm_sum_mpmath(rs: RootSet, amp_power: int):
         q2 = q * q
         ws = rs.bethe_roots
         n = len(ws)
-        amp = [1 / (q * _z(w, q) ** amp_power) for w in ws]
+        amp = [1 / (q * _pow(_z(w, q), amp_power)) for w in ws]
         return ordered_sum_mpmath(
             n,
             lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[v[0]] - ws[u[0]]),
-            lambda k, x, s: amp[x] ** (n - 1 - k),
+            lambda k, x, s: _pow(amp[x], n - 1 - k),
         )
 
 
@@ -614,13 +662,13 @@ def wavefunction_component_mpmath(rs: RootSet, positions):
             return ordered_sum_mpmath(
                 n,
                 lambda u, v: (ws[u[0]] - q2 * ws[v[0]]) / (ws[u[0]] - ws[v[0]]),
-                lambda k, x, s: zs[x] ** positions[k],
+                lambda k, x, s: _pow(zs[x], positions[k]),
             )
         L = rs.L
 
         def slot(k, x, s):
             z = zs[x] ** s
-            return z ** (positions[k] - L) * (1 + q / z) / (z - 1 / z)
+            return _pow(z, positions[k] - L) * (1 + q / z) / (z - 1 / z)
 
         def pair(u, v):
             (a, s), (b, t) = u, v
@@ -629,3 +677,25 @@ def wavefunction_component_mpmath(rs: RootSet, positions):
             return num / ((ws[a] - ws[b]) * (1 - 1 / (ws[a] * ws[b])))
 
         return ordered_sum_mpmath(n, pair, slot, signs=(1, -1))
+
+
+def reflecting_double_product_mpmath(rs: RootSet):
+    """The double product prod_i prod_j (1 + z_i + z_i z_j) over the 2n
+    reflecting variables, excluding j = i and the mirror index j = i +- n.
+
+    Exclusion is by index rather than by value, so coincidences from
+    rounding cannot drop factors.
+    """
+    if rs.boundary is not Boundary.REFLECTING:
+        raise ValueError("needs a reflecting RootSet")
+    with mp.workprec(rs.precision + GUARD_BITS):
+        q = _qphase()
+        m = 2 * rs.n
+        zs = [_z(w, q) for w in rs.roots]
+        total = mp.mpc(1)
+        for i in range(m):
+            for j in range(m):
+                if j == i or j == (i + rs.n) % m:
+                    continue
+                total *= 1 + zs[i] + zs[i] * zs[j]
+        return total

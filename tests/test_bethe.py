@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import comb
 
@@ -10,12 +11,13 @@ import pytest
 from mpmath import mp
 
 import betheq.bethe as bethe
-from betheq.asmcounts import asm_count
+from betheq.asmcounts import asm_count, asm_v, n8
 from betheq.bethe import (
     NonConvergenceError,
     component_sum_large,
     component_sum_small,
     energy,
+    reflecting_double_product,
     solve_roots,
     wavefunction_component,
 )
@@ -31,7 +33,9 @@ from betheq.qfunctions import (
 from oracles import (
     aberth_mpmath,
     bethe_residual_mpmath,
+    energy_mpmath,
     perm_sum_mpmath,
+    reflecting_double_product_mpmath,
     to_w,
     to_z,
     wavefunction_component_mpmath,
@@ -39,6 +43,13 @@ from oracles import (
 
 PREC = 192
 TOL = mp.mpf(2) ** (30 - PREC)
+
+
+@lru_cache(maxsize=None)
+def groundstate_roots(boundary, n, precision):
+    """solve_roots of the groundstate Q_n, shared by the oracle tests (a
+    RootSet is frozen)."""
+    return solve_roots(elem_for(boundary, n), precision)
 
 
 class TestVariableChange:
@@ -137,7 +148,7 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("n", [4, 10, 20])
     def test_roots_match(self, boundary, n):
         qp = elem_for(boundary, n)
-        rs = solve_roots(qp, 256)
+        rs = groundstate_roots(boundary, n, 256)
         got = list(rs.wt_roots or rs.roots)
         coeffs = list(qp.poly().coeffs)
         with mp.workprec(512):
@@ -253,7 +264,7 @@ class TestStallSizes:
     )
     def test_solve_roots(self, boundary, n):
         qp = elem_for(boundary, n)
-        rs = solve_roots(qp, 256)
+        rs = groundstate_roots(boundary, n, 256)
         values = rs.wt_roots if boundary is Boundary.REFLECTING else rs.roots
         assert len(values) == n
         with mp.workprec(512):
@@ -301,7 +312,7 @@ class TestResiduals:
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("n", range(1, 11))
     def test_bethe_equations_hold(self, boundary, n):
-        rs = solve_roots(elem_for(boundary, n), 256)
+        rs = groundstate_roots(boundary, n, 256)
         assert rs.residual < mp.mpf(10) ** -40
 
 
@@ -314,7 +325,7 @@ class TestResidualOracle:
 
     @pytest.mark.parametrize("boundary, n, precision", CASES)
     def test_agrees_to_the_precision(self, boundary, n, precision):
-        rs = solve_roots(elem_for(boundary, n), precision)
+        rs = groundstate_roots(boundary, n, precision)
         got, want = bethe.bethe_residual(rs), bethe_residual_mpmath(rs)
         assert isinstance(got, mp.mpf)
         assert abs(got - want) <= mp.mpf(2) ** -precision
@@ -325,7 +336,7 @@ class TestResidualOracle:
         # then about 2^-100, set by the formula and not by rounding, so a
         # wrong factor, exclusion, twist or power shows.  Each side rounds
         # to about 2^(16 - precision) absolute, 2^(116 - precision) of that.
-        rs = solve_roots(elem_for(boundary, n), precision)
+        rs = groundstate_roots(boundary, n, precision)
         with mp.workprec(precision + 64):
             w0 = rs.roots[0] * (1 + mp.mpf(2) ** -100)
             roots = (w0,) + rs.roots[1:]
@@ -392,6 +403,63 @@ class TestEnergy:
         # E = -3(L-1)/4 - sqrt(3)/2 sin(pi/3)... collapses to -3(2n-1)/4
         rs = solve_roots(elem_reflecting(n), PREC)
         assert abs(energy(rs) - mp.mpf(-3) * (rs.L - 1) / 4) < TOL
+
+
+class TestEnergyAndProductOracle:
+    """energy and reflecting_double_product against the mpmath formulas on
+    the same roots, run 512 bits above the working precision."""
+
+    ENERGY = [(b, n, precision) for b in Boundary for n in range(1, 9)
+              for precision in (128, 256, 4096)]
+    PRODUCT = [(n, precision) for n in range(1, 11) for precision in (128, 256, 4096)]
+
+    @staticmethod
+    def assert_agrees(got, want, precision):
+        assert isinstance(got, mp.mpc)
+        with mp.workprec(precision + 512):
+            assert abs(got - want) <= mp.mpf(2) ** (16 - precision) * abs(want)
+
+    @pytest.mark.parametrize("boundary, n, precision", ENERGY)
+    def test_energy(self, boundary, n, precision):
+        rs = groundstate_roots(boundary, n, precision)
+        ref = replace(rs, precision=precision + 512)
+        self.assert_agrees(energy(rs), energy_mpmath(ref), precision)
+
+    @pytest.mark.parametrize("n, precision", PRODUCT)
+    def test_reflecting_product(self, n, precision):
+        rs = groundstate_roots(Boundary.REFLECTING, n, precision)
+        ref = replace(rs, precision=precision + 512)
+        self.assert_agrees(reflecting_double_product(rs),
+                           reflecting_double_product_mpmath(ref), precision)
+
+    def test_reflecting_product_to_the_rounding_of_the_roots(self):
+        # 3^(2n(n-1)) prod (w_i - q^2 w_j) / C^(4(n-1)) at n = 10 lands at
+        # 2^-314.8 relative from A_V(21)^2 N_8(20)^4
+        rs = groundstate_roots(Boundary.REFLECTING, 10, 256)
+        with mp.workprec(512):
+            want = mp.mpf(asm_v(21)) ** 2 * mp.mpf(n8(20)) ** 4
+            assert abs(reflecting_double_product(rs) - want) <= mp.mpf(2) ** -312 * want
+
+    def test_energy_to_the_rounding_of_the_roots(self):
+        # E = -3L'/4 exactly on every groundstate; at 256 bits the block
+        # floats land within 2^-319.6 relative of it for n <= 8, and a
+        # scale 40 bits short leaves 2^-282.9
+        with mp.workprec(512):
+            for boundary in Boundary:
+                for n in range(1, 9):
+                    rs = groundstate_roots(boundary, n, 256)
+                    lp = rs.L - 1 if boundary is Boundary.REFLECTING else rs.L
+                    want = mp.mpf(-3) * lp / 4
+                    assert abs(energy(rs) - want) <= mp.mpf(2) ** -312 * abs(want)
+
+    def test_energy_without_roots(self):
+        rs = solve_roots(elem_periodic(0), 256)
+        assert energy(rs) == mp.mpf(rs.L) / 4
+        assert isinstance(energy(rs), mp.mpc)
+
+    def test_product_needs_a_reflecting_rootset(self):
+        with pytest.raises(ValueError):
+            reflecting_double_product(groundstate_roots(Boundary.TWISTED, 2, 128))
 
 
 class TestComponentSums:
@@ -464,19 +532,18 @@ class TestOrderedSum:
 class TestOrderedSumOracle:
     """The block-float component sums and a wavefunction component at
     seeded positions against the mpmath ordered sum on the same roots, run
-    512 bits above the working precision.  At 4096 bits n stops at 3: the
-    mpmath oracle takes 0.3-0.9 s a case from n = 4 there."""
+    512 bits above the working precision."""
 
     CASES = [
         (b, n, precision)
         for b in Boundary
         for n in range(1, 5 if b is Boundary.REFLECTING else 7)
-        for precision in (128, 256)
-    ] + [(b, n, 4096) for b in Boundary for n in (1, 2, 3)]
+        for precision in (128, 256, 4096)
+    ]
 
     @pytest.mark.parametrize("boundary, n, precision", CASES)
     def test_agrees_to_the_precision(self, boundary, n, precision):
-        rs = solve_roots(elem_for(boundary, n), precision)
+        rs = groundstate_roots(boundary, n, precision)
         x = sorted(random.Random(1000 * n + precision).sample(range(1, rs.L + 1), n))
         ref = replace(rs, precision=precision + 512)
         values = [(wavefunction_component(rs, x), wavefunction_component_mpmath(ref, x)),

@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from betheq import bethe, cli, ed
+from betheq import bethe, cli, conjectures, ed
 from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 
 
@@ -239,7 +239,7 @@ class TestParser:
         code, out = run_capture(capsys, ["verify", "all", "--max-n", "1"])
         assert code == EXIT_OK
         reports = json.loads(out)["reports"]
-        assert [r["n"] for r in reports] == [1] * len(cli.VERIFIERS)
+        assert [r["n"] for r in reports] == [1] * len(conjectures.VERIFIERS)
         assert seen == [
             {"format": "json", "command": "verify", "which": "conj", "n": 2,
              "max_n": 4, "precision": 256},
@@ -265,7 +265,7 @@ class TestExitCodes:
         assert run(["verify", "conj", "--n", "2"]) == EXIT_FAIL
 
     def test_nonconvergence_in_one_report_keeps_the_others(self, capsys, monkeypatch):
-        conj2 = cli.VERIFIERS["conj2"]
+        conj2 = conjectures.VERIFIERS["conj2"]
 
         def flaky(n, precision):
             if n == 2:
@@ -274,12 +274,12 @@ class TestExitCodes:
                     correction=mp.mpf(1))
             return conj2(n, precision)
 
-        monkeypatch.setitem(cli.VERIFIERS, "conj2", flaky)
+        monkeypatch.setitem(conjectures.VERIFIERS, "conj2", flaky)
         code, out = run_capture(capsys, ["verify", "all", "--max-n", "2"])
         assert code == EXIT_NUMERIC
         data = json.loads(out)
         assert data["equal"] is False
-        assert len(data["reports"]) == 2 * len(cli.VERIFIERS)
+        assert len(data["reports"]) == 2 * len(conjectures.VERIFIERS)
         failed = [r for r in data["reports"] if not r["equal"]]
         assert failed == [{
             "conjecture": "conj2", "n": 2, "equal": False, "error": "forced",

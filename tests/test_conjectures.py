@@ -72,9 +72,6 @@ class TestDoubleProductKernel:
 
 
 class TestRegistry:
-    def test_cli_runs_the_conjectures_registry(self):
-        assert cli.VERIFIERS is conjectures.VERIFIERS
-
     @pytest.mark.parametrize("name, verifier", [
         ("conj", "verify_periodic_product"),
         ("conj1", "verify_twisted_product"),
