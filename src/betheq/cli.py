@@ -73,19 +73,14 @@ def _cmd_qpoly(args) -> int:
     return EXIT_OK
 
 
+# `betheq asm` name -> asmcounts function, looked up at call time so a
+# patched or traced count runs
+ASM_COUNTS = {"count": "asm_count", "v": "asm_v", "n8": "n8", "ht": "asm_ht"}
+
+
 def _cmd_asm(args) -> int:
-    which = args.which
-    n = args.n
-    if which == "count":
-        value = asmcounts.asm_count(n)
-    elif which == "v":
-        value = asmcounts.asm_v(n)
-    elif which == "n8":
-        value = asmcounts.n8(n)
-    else:
-        value = asmcounts.asm_ht(n)
     # a bare integer on stdout regardless of format: these are single counts
-    print(value)
+    print(getattr(asmcounts, ASM_COUNTS[args.which])(args.n))
     return EXIT_OK
 
 
@@ -198,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("asm", help="alternating-sign-matrix symmetry class counts")
-    p.add_argument("which", choices=["count", "v", "n8", "ht"])
+    p.add_argument("which", choices=list(ASM_COUNTS))
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("verify", help="verify one identity (or the whole suite)")

@@ -53,7 +53,7 @@ class SpinBasis:
     """Fixed-magnetization basis: bit j set means a down spin at site j.
 
     States are the C(L, n) bitmasks with n set bits, in increasing integer
-    order (lexicographic in the bit string read from site 0)."""
+    order (lexicographic in the bit string read from site L - 1)."""
 
     def __init__(self, L: int, n: int):
         if not 0 <= n <= L:
@@ -106,12 +106,12 @@ def build_hamiltonian(L: int, boundary):
     L runs to MAX_L, the largest size measured to work, from 1 for the
     reflecting chain and from 2 for closed chains (one site would close
     onto itself).  Build plus
-    `groundstate` without a hint, in a fresh process on one core of a
-    shared 2-vCPU host, took (peak process RSS, of which about 33 MB is
-    the interpreter with numpy and betheq loaded):
-    reflecting L = 16 (dim 12870) 0.6 s, 67 MB;
-    periodic L = 17 (dim 24310) 1.1 s, 90 MB;
-    reflecting L = 18 (dim 48620) 3.4 s, 139 MB.
+    `groundstate` without a hint, in a fresh process with one BLAS thread
+    on a shared 2-vCPU host, took (peak process RSS, of which about 33 MB
+    is the interpreter with numpy and betheq loaded):
+    reflecting L = 16 (dim 12870) 0.4 s, 66 MB;
+    periodic L = 17 (dim 24310) 0.5 s, 90 MB;
+    reflecting L = 18 (dim 48620) 2.1 s, 137 MB.
     """
     boundary = Boundary(boundary)
     closed = boundary is not Boundary.REFLECTING
@@ -119,32 +119,25 @@ def build_hamiltonian(L: int, boundary):
     if not low <= L <= MAX_L:
         raise ValueError(f"L must be in {low}..{MAX_L} for the {boundary.value} chain, got {L}")
     basis = SpinBasis(L, default_sector(L))
-    rows, cols, values = [], [], []
-    bonds = [(j, (j + 1) % L) for j in range(L if closed else L - 1)]
-    for idx, s in enumerate(basis.states):
-        diag = 0.0
-        for a, b in bonds:
-            sa = 1 - 2 * ((s >> a) & 1)
-            sb = 1 - 2 * ((s >> b) & 1)
-            diag += -0.5 * DELTA * sa * sb
-            if sa != sb:
-                t = s ^ (1 << a) ^ (1 << b)
-                amp = -1.0 + 0j
-                if boundary is Boundary.TWISTED and a == L - 1 and b == 0:
-                    # down spin crossing the seam picks up e^{-+ 2 i phi}
-                    moving_down_to_first = ((s >> a) & 1) == 1
-                    amp *= np.exp((-2j if moving_down_to_first else 2j) * TWIST_PHI)
-                rows.append(basis.index[t])
-                cols.append(idx)
-                values.append(amp)
-        if boundary is Boundary.REFLECTING:
-            s1 = 1 - 2 * (s & 1)
-            sL = 1 - 2 * ((s >> (L - 1)) & 1)
-            diag += BOUNDARY_FIELD * (s1 - sL)
-        rows.append(idx)
-        cols.append(idx)
-        values.append(diag)
-    return basis, SectorMatrix(len(basis), rows, cols, values)
+    s = np.array(basis.states)
+    diag = np.zeros(len(s), dtype=complex)
+    rows, cols, values = [np.arange(len(s))], [np.arange(len(s))], [diag]
+    for a in range(L if closed else L - 1):
+        b = (a + 1) % L
+        down_a, down_b = (s >> a) & 1, (s >> b) & 1
+        diag += -0.5 * DELTA * (1 - 2 * down_a) * (1 - 2 * down_b)
+        flip = np.flatnonzero(down_a != down_b)
+        amp = np.full(len(flip), -1.0 + 0j)
+        if boundary is Boundary.TWISTED and a == L - 1:
+            # down spin crossing the seam picks up e^{-+ 2 i phi}
+            amp *= np.exp(np.where(down_a[flip] == 1, -2j, 2j) * TWIST_PHI)
+        rows.append(np.searchsorted(s, s[flip] ^ (1 << a | 1 << b)))
+        cols.append(flip)
+        values.append(amp)
+    if boundary is Boundary.REFLECTING:
+        diag += BOUNDARY_FIELD * (2 * ((s >> (L - 1)) & 1) - 2 * (s & 1))
+    rows, cols, values = np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    return basis, SectorMatrix(len(s), rows, cols, values)
 
 
 def _arnoldi(h, start, size):

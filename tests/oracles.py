@@ -7,7 +7,8 @@ its ASM-sum expansion, a second A_n formula, a point evaluator for the
 closed rational form of Q_n, the special-value check, and the Aberth
 iteration, the Bethe residual, the energy, the ordered-sum dynamic
 programme, the wavefunction component and the reflecting double product
-in mpmath arithmetic, with their own q and variable change.
+in mpmath arithmetic, with their own q and variable change, and the ED
+sector Hamiltonian built one state at a time.
 """
 
 from __future__ import annotations
@@ -17,11 +18,21 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 from mpmath import mp
 
 from betheq.asmcounts import _as_int
 from betheq.bethe import GUARD_BITS, NonConvergenceError, RootSet
 from betheq.detlab import _check_square, det_exact
+from betheq.ed import (
+    BOUNDARY_FIELD,
+    DELTA,
+    MAX_L,
+    TWIST_PHI,
+    SectorMatrix,
+    SpinBasis,
+    default_sector,
+)
 from betheq.exact import Cyclo
 from betheq.qfunctions import Boundary, _rational_form, elem_periodic, q_at_qinv
 from betheq.symfunc import Partition, SymTable, _jt_det
@@ -699,3 +710,43 @@ def reflecting_double_product_mpmath(rs: RootSet):
                     continue
                 total *= 1 + zs[i] + zs[i] * zs[j]
         return total
+
+
+# --- exact diagonalization --------------------------------------------------
+
+
+def build_hamiltonian_loop(L: int, boundary):
+    """`ed.build_hamiltonian` one state and one bond at a time, with a
+    basis-index lookup per hop: the same (basis, SectorMatrix) pair."""
+    boundary = Boundary(boundary)
+    closed = boundary is not Boundary.REFLECTING
+    low = 2 if closed else 1
+    if not low <= L <= MAX_L:
+        raise ValueError(f"L must be in {low}..{MAX_L} for the {boundary.value} chain, got {L}")
+    basis = SpinBasis(L, default_sector(L))
+    rows, cols, values = [], [], []
+    bonds = [(j, (j + 1) % L) for j in range(L if closed else L - 1)]
+    for idx, s in enumerate(basis.states):
+        diag = 0.0
+        for a, b in bonds:
+            sa = 1 - 2 * ((s >> a) & 1)
+            sb = 1 - 2 * ((s >> b) & 1)
+            diag += -0.5 * DELTA * sa * sb
+            if sa != sb:
+                t = s ^ (1 << a) ^ (1 << b)
+                amp = -1.0 + 0j
+                if boundary is Boundary.TWISTED and a == L - 1 and b == 0:
+                    # down spin crossing the seam picks up e^{-+ 2 i phi}
+                    moving_down_to_first = ((s >> a) & 1) == 1
+                    amp *= np.exp((-2j if moving_down_to_first else 2j) * TWIST_PHI)
+                rows.append(basis.index[t])
+                cols.append(idx)
+                values.append(amp)
+        if boundary is Boundary.REFLECTING:
+            s1 = 1 - 2 * (s & 1)
+            sL = 1 - 2 * ((s >> (L - 1)) & 1)
+            diag += BOUNDARY_FIELD * (s1 - sL)
+        rows.append(idx)
+        cols.append(idx)
+        values.append(diag)
+    return basis, SectorMatrix(len(basis), rows, cols, values)

@@ -5,7 +5,7 @@ import json
 import pytest
 from mpmath import mp
 
-from betheq import bethe, cli, conjectures, ed
+from betheq import asmcounts, bethe, cli, conjectures, ed
 from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
 
 
@@ -29,6 +29,11 @@ class TestAsm:
     def test_invalid_parity_is_usage_error(self, capsys):
         code, _ = run_capture(capsys, ["asm", "v", "--n", "4"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("which", list(cli.ASM_COUNTS))
+    def test_runs_a_patched_count(self, capsys, monkeypatch, which):
+        monkeypatch.setattr(asmcounts, cli.ASM_COUNTS[which], lambda n: 1000 + n)
+        assert run_capture(capsys, ["asm", which, "--n", "3"]) == (EXIT_OK, "1003\n")
 
 
 class TestQpoly:

@@ -16,7 +16,7 @@ from betheq.ed import (
     rs_observables,
 )
 from betheq.qfunctions import Boundary, elem_for, elem_periodic
-from oracles import to_z
+from oracles import build_hamiltonian_loop, to_z
 
 PREC = 128
 
@@ -79,6 +79,18 @@ class TestHamiltonian:
         # L = 2 closed chains add two hops into one entry
         _, h = build_hamiltonian(L, boundary)
         assert h.norm_inf == np.linalg.norm(h.toarray(), np.inf)
+
+    @pytest.mark.parametrize(
+        "boundary,L",
+        [(b, L) for b in Boundary for L in range(1 if b is Boundary.REFLECTING else 2, 15)],
+    )
+    def test_matches_the_per_state_build(self, boundary, L):
+        _, h = build_hamiltonian(L, boundary)
+        _, ref = build_hamiltonian_loop(L, boundary)
+        assert np.array_equal(h.rows, ref.rows)
+        assert np.array_equal(h.cols, ref.cols)
+        assert np.array_equal(h.values, ref.values)
+        assert h.norm_inf == ref.norm_inf
 
 
 class TestGroundstateObservables:
