@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 GUARD_BITS = 64
+# the least working precision solve_roots and `betheq verify` accept
+MIN_PRECISION = 64
 
 
 class NonConvergenceError(ArithmeticError):
@@ -231,8 +233,8 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     w^2 - wt*w + 1 = 0, keeping the branch with |w| >= 1 (tie: positive
     imaginary part); the mirror branch is stored as the exact reciprocal.
     """
-    if precision < 64:
-        raise ValueError("precision must be at least 64 bits")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     n = qp.n
     coeffs = list(qp.poly().coeffs)
     top = max(abs(c) for c in coeffs)

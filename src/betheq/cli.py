@@ -98,6 +98,24 @@ def _nonconvergence_json(name: str, n: int, exc: bethe.NonConvergenceError) -> d
     }
 
 
+def _verify_usage_error(args):
+    """Why the `verify` options would check nothing or fail part way, or
+    None.  Checked before any report runs, so a bad option prints none."""
+    if args.which == "all":
+        if args.n is not None:
+            return "verify all takes --max-n K, not --n"
+        flag, value = "--max-n", args.max_n
+    elif args.n is None:
+        return "verify requires --n (or use 'verify all --max-n K')"
+    else:
+        flag, value = "--n", args.n
+    if value < 1:
+        return f"verify needs {flag} >= 1, got {value}"
+    if args.precision < bethe.MIN_PRECISION:
+        return f"precision must be at least {bethe.MIN_PRECISION} bits"
+    return None
+
+
 def _cmd_verify(args) -> int:
     """Run each requested report; a report whose roots do not converge
     becomes an unequal entry with the error's fields, the others still
@@ -233,15 +251,10 @@ def run(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.command == "verify" and args.which != "all" and args.n is None:
-        print("error: verify requires --n (or use 'verify all --max-n K')",
-              file=sys.stderr)
+    problem = args.command == "verify" and _verify_usage_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "verify":
-        flag, value = ("--max-n", args.max_n) if args.which == "all" else ("--n", args.n)
-        if value < 1:
-            print(f"error: verify needs {flag} >= 1, got {value}", file=sys.stderr)
-            return EXIT_USAGE
     try:
         # looked up at call time, so a patched or traced _cmd_* still runs
         return globals()["_cmd_" + args.command](args)

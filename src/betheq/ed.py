@@ -69,8 +69,8 @@ class SpinBasis:
 
 class SectorMatrix:
     """Sparse complex square matrix from (row, col, value) triplets;
-    repeated positions add up.  It offers `shape`, `@` on a vector,
-    `toarray()` and its infinity norm `norm_inf`."""
+    repeated positions add up.  It offers `shape`, `@` on a vector
+    and its infinity norm `norm_inf`."""
 
     def __init__(self, dim: int, rows, cols, values):
         self.shape = (dim, dim)
@@ -88,11 +88,6 @@ class SectorMatrix:
         dim = self.shape[0]
         return (np.bincount(self.rows, terms.real, dim)
                 + 1j * np.bincount(self.rows, terms.imag, dim))
-
-    def toarray(self):
-        out = np.zeros(self.shape, dtype=complex)
-        out[self.rows, self.cols] = self.values
-        return out
 
 
 def build_hamiltonian(L: int, boundary):

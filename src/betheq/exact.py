@@ -1,17 +1,17 @@
 """Exact number systems: rationals, the field Q(q) with q a primitive sixth
-root of unity, dense univariate polynomials, and generalized binomials.
+root of unity, dense univariate polynomials with exact division by a monic
+divisor, and generalized binomials.
 
-All arithmetic here is exact.  Rationals are ``fractions.Fraction`` (always
-in lowest terms, positive denominator).  ``Cyclo`` elements are a + b*q with
-q^2 = q - 1, which is the minimal polynomial of q = exp(i*pi/3).
+All arithmetic here is exact and pure Python.  Rationals are
+``fractions.Fraction`` (always in lowest terms, positive denominator).
+``Cyclo`` elements are a + b*q with q^2 = q - 1, which is the minimal
+polynomial of q = exp(i*pi/3).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import mpmath
 
 __all__ = [
     "Cyclo",
@@ -177,26 +177,9 @@ class Cyclo:
 
     # -- structure -------------------------------------------------------
 
-    def conjugate(self) -> "Cyclo":
-        """Complex conjugation, q -> 1 - q."""
-        return Cyclo(self.a + self.b, -self.b)
-
     @property
     def is_rational(self) -> bool:
         return self.b == 0
-
-    def rational(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is not rational")
-        return self.a
-
-    def embed(self, prec: int = 53):
-        """Complex-float embedding a + b*(1/2 + i sqrt(3)/2) at prec bits."""
-        with mpmath.workprec(prec):
-            qv = mpmath.mpc(mpmath.mpf(1) / 2, mpmath.sqrt(3) / 2)
-            av = mpmath.mpf(self.a.numerator) / self.a.denominator
-            bv = mpmath.mpf(self.b.numerator) / self.b.denominator
-            return av + bv * qv
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -204,17 +187,11 @@ class Cyclo:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
     def __repr__(self):
         return f"Cyclo({self.a!r}, {self.b!r})"
-
-    def __str__(self):
-        return f"{self.a} + ({self.b})q"
 
     def to_json(self) -> dict:
         return {"a": rat_to_str(self.a), "b": rat_to_str(self.b)}
@@ -228,7 +205,8 @@ class Poly:
 
     Coefficients are stored lowest degree first with no trailing zeros.
     The zero polynomial has degree -1.  Coefficient ring elements must
-    support arithmetic with Python ints (Fraction and Cyclo both do).
+    support arithmetic with Python ints.  Division is `poly_div_exact`,
+    by a monic divisor only.
     """
 
     __slots__ = ("coeffs",)
@@ -251,9 +229,6 @@ class Poly:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __getitem__(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -271,9 +246,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-self._as_poly(other))
-
-    def __rsub__(self, other):
-        return self._as_poly(other) + (-self)
 
     def __mul__(self, other):
         other = self._as_poly(other)
@@ -302,38 +274,31 @@ class Poly:
             out = out * x + c
         return out
 
-    def divmod(self, den: "Poly"):
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        # a monic divisor keeps int coefficients int; otherwise divide in Q
-        dinv = 1 if den.coeffs[-1] == 1 else Fraction(1) / den.coeffs[-1]
-        dd = den.degree
-        qd = self.degree - dd
-        if qd < 0:
-            return Poly([]), Poly(rem)
-        quot = [0] * (qd + 1)
-        for i in range(qd, -1, -1):
-            c = rem[i + dd]
-            if c == 0:
-                continue
-            f = c * dinv
-            quot[i] = f
-            for j, dc in enumerate(den.coeffs):
-                rem[i + j] = rem[i + j] - f * dc
-        return Poly(quot), Poly(rem)
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
 
 def poly_div_exact(num: Poly, den: Poly) -> Poly:
-    """Exact polynomial quotient; a nonzero remainder raises.
+    """Exact quotient by a monic divisor, which keeps int coefficients int;
+    a non-monic divisor raises ValueError and a nonzero remainder raises
+    ExactDivisionError.
 
     The quotient is verified by re-multiplication, so a remainder signals a
     transcription bug in whatever formula produced the operands.
     """
-    quot, rem = num.divmod(den)
+    if not den or den.coeffs[-1] != 1:
+        raise ValueError(f"divisor {den!r} is not monic")
+    rem = list(num.coeffs)
+    dd = den.degree
+    quot = [0] * max(num.degree - dd + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dd]
+        if c == 0:
+            continue
+        quot[i] = c
+        for j, dc in enumerate(den.coeffs):
+            rem[i + j] = rem[i + j] - c * dc
+    rem, quot = Poly(rem), Poly(quot)
     if rem:
         raise ExactDivisionError(f"nonzero remainder {rem!r} dividing {num!r} by {den!r}")
     assert den * quot == num

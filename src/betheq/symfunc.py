@@ -31,29 +31,6 @@ class Partition:
             raise ValueError(f"parts must be non-increasing: {parts}")
         self.parts = parts
 
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self.parts == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
         return f"Partition{self.parts!r}"
 
@@ -87,9 +64,6 @@ class SymTable:
                 raise ValueError(f"e_{k} must vanish beyond {nvars} variables")
         self.values = values
         self.nvars = nvars
-
-    def __len__(self):
-        return len(self.values)
 
     def val(self, k: int):
         if k < 0 or k > self.nvars:

@@ -7,8 +7,9 @@ its ASM-sum expansion, a second A_n formula, a point evaluator for the
 closed rational form of Q_n, the special-value check, and the Aberth
 iteration, the Bethe residual, the energy, the ordered-sum dynamic
 programme, the wavefunction component and the reflecting double product
-in mpmath arithmetic, with their own q and variable change, and the ED
-sector Hamiltonian built one state at a time.
+in mpmath arithmetic, with their own q, variable change and embedding of
+Q(q), and the ED sector Hamiltonian built one state at a time, with its
+dense array.
 """
 
 from __future__ import annotations
@@ -426,6 +427,16 @@ def to_w(z, prec: int = 53):
         return (z + q) / den
 
 
+def embed(x: Cyclo, prec: int = 53):
+    """Complex-float embedding a + b*(1/2 + i sqrt(3)/2) of x in Q(q) at
+    prec bits."""
+    with mp.workprec(prec):
+        qv = mp.mpc(mp.mpf(1) / 2, mp.sqrt(3) / 2)
+        av = mp.mpf(x.a.numerator) / x.a.denominator
+        bv = mp.mpf(x.b.numerator) / x.b.denominator
+        return av + bv * qv
+
+
 # --- Q-polynomials ----------------------------------------------------------
 
 
@@ -474,9 +485,9 @@ def check_special_values(n: int) -> bool:
     if qp.poly()(Fraction(0)) != (-1) ** n:
         return False
     s = q_at_qinv(qp)
-    if not s.is_rational or s.rational() != qinv_product_value(n):
+    if not s.is_rational or s.a != qinv_product_value(n):
         return False
-    lhs = Fraction(3) ** n / s.rational() ** 2
+    lhs = Fraction(3) ** n / s.a ** 2
     rhs = Fraction(3, 4) ** n
     for j in range(1, n + 1):
         rhs *= Fraction(3 * j - 1, 2 * j - 1) ** 2
@@ -713,6 +724,13 @@ def reflecting_double_product_mpmath(rs: RootSet):
 
 
 # --- exact diagonalization --------------------------------------------------
+
+
+def toarray(h: SectorMatrix):
+    """The dense complex array of a SectorMatrix."""
+    out = np.zeros(h.shape, dtype=complex)
+    out[h.rows, h.cols] = h.values
+    return out
 
 
 def build_hamiltonian_loop(L: int, boundary):

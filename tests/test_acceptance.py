@@ -161,18 +161,18 @@ def test_criterion_09_hyp_identities():
 
 
 def _partitions(max_weight, max_parts):
-    out = [Partition()]
+    out = [()]
 
     def rec(prefix, remaining, cap):
         for p in range(min(cap, remaining), 0, -1):
             new = prefix + [p]
             if len(new) <= max_parts:
-                out.append(Partition(new))
+                out.append(tuple(new))
                 rec(new, remaining - p, p)
 
     for w in range(1, max_weight + 1):
         rec([], w, w)
-    return sorted(set(out), key=lambda p: (p.weight, p.parts))
+    return [Partition(t) for t in sorted(set(out), key=lambda t: (sum(t), t))]
 
 
 def test_criterion_10_symfunc_cross_identities():
@@ -189,11 +189,11 @@ def test_criterion_10_symfunc_cross_identities():
             ws.add(Fraction(rng.randint(1, 60), rng.randint(1, 9)))
         ws = list(ws)
         p = parts[rng.randrange(len(parts))]
-        if len(p) > n:
+        if len(p.parts) > n:
             continue
         trials += 1
         e = elem_brute(ws)
-        h = complete_table(e, p.weight + len(p) + 1)
+        h = complete_table(e, sum(p.parts) + len(p.parts) + 1)
         nk = schur_nk(p, e)
         ok = (
             ok

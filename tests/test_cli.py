@@ -75,6 +75,22 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        # --n would otherwise be ignored for the default --max-n
+        (["verify", "all", "--n", "2"], "verify all takes --max-n K, not --n"),
+        (["verify", "all", "--n", "2", "--max-n", "1"], "verify all takes --max-n K, not --n"),
+        # the exact reports would run before the numeric ones fail
+        (["verify", "all", "--max-n", "1", "--precision", "32"],
+         "precision must be at least 64 bits"),
+        (["verify", "conj", "--n", "1", "--precision", "63"],
+         "precision must be at least 64 bits"),
+    ])
+    def test_bad_option_fails_before_any_report(self, capsys, argv, message):
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_hyp_identities(self, capsys):
         code, out = run_capture(capsys, ["verify", "hyp1", "--n", "6"])
         assert code == EXIT_OK

@@ -18,7 +18,7 @@ from betheq.conjectures import (
 )
 from betheq.exact import QINV, Cyclo
 from betheq.qfunctions import Boundary, elem_for, elem_periodic
-from oracles import to_z
+from oracles import embed, to_z
 
 
 def periodic_prefactor(n):
@@ -59,7 +59,7 @@ class TestDoubleProductKernel:
             z = [to_z(w, 128) for w in rs.roots]
             direct = mp.fprod(1 + z[i] + z[i] * z[j]
                               for i in range(n) for j in range(n) if i != j)
-            exact = conjectures._double_product(qp).embed(128)
+            exact = embed(conjectures._double_product(qp), 128)
             assert abs(direct - exact) < mp.mpf(2) ** -100 * abs(exact)
 
     def test_periodic_value_with_q_part_is_unequal(self, monkeypatch, capsys):

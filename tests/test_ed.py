@@ -16,7 +16,7 @@ from betheq.ed import (
     rs_observables,
 )
 from betheq.qfunctions import Boundary, elem_for, elem_periodic
-from oracles import build_hamiltonian_loop, to_z
+from oracles import build_hamiltonian_loop, to_z, toarray
 
 PREC = 128
 
@@ -43,19 +43,19 @@ class TestBasis:
 class TestHamiltonian:
     def test_periodic_is_hermitian(self):
         _, h = build_hamiltonian(6, Boundary.PERIODIC)
-        h = h.toarray()
+        h = toarray(h)
         assert np.allclose(h, h.conj().T)
 
     def test_twisted_spectrum_real(self):
         _, h = build_hamiltonian(6, Boundary.TWISTED)
-        evals = np.linalg.eigvals(h.toarray())
+        evals = np.linalg.eigvals(toarray(h))
         assert np.max(np.abs(evals.imag)) < 1e-10
 
     def test_reflecting_spectrum_real(self):
         # non-normal matrix: eigenvalues of near-degenerate pairs carry
         # sqrt(eps)-level imaginary noise, hence the loose tolerance
         _, h = build_hamiltonian(6, Boundary.REFLECTING)
-        evals = np.linalg.eigvals(h.toarray())
+        evals = np.linalg.eigvals(toarray(h))
         assert np.max(np.abs(evals.imag)) < 1e-6
 
     def test_size_guard(self):
@@ -70,7 +70,7 @@ class TestHamiltonian:
         _, h = build_hamiltonian(7, boundary)
         rng = np.random.default_rng(1)
         x = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-        dense = h.toarray() @ x
+        dense = toarray(h) @ x
         assert np.max(np.abs(h @ x - dense)) < 1e-14 * h.norm_inf * np.max(np.abs(x))
 
     @pytest.mark.parametrize("boundary", list(Boundary))
@@ -78,7 +78,7 @@ class TestHamiltonian:
     def test_norm_inf(self, boundary, L):
         # L = 2 closed chains add two hops into one entry
         _, h = build_hamiltonian(L, boundary)
-        assert h.norm_inf == np.linalg.norm(h.toarray(), np.inf)
+        assert h.norm_inf == np.linalg.norm(toarray(h), np.inf)
 
     @pytest.mark.parametrize(
         "boundary,L",
@@ -158,7 +158,7 @@ class TestGroundstateObservables:
 
 def dense_groundstate(h):
     """Reference: full dense eigendecomposition, lowest real part."""
-    evals, evecs = np.linalg.eig(h.toarray())
+    evals, evecs = np.linalg.eig(toarray(h))
     k = int(np.argmin(evals.real))
     return evals[k], evecs[:, k]
 
