@@ -41,6 +41,8 @@ __all__ = [
 GUARD_BITS = 64
 # the least working precision solve_roots and `betheq verify` accept
 MIN_PRECISION = 64
+# the working precision of solve_roots, the numeric verifiers and the CLI
+DEFAULT_PRECISION = 256
 
 
 class NonConvergenceError(ArithmeticError):
@@ -217,7 +219,7 @@ def _reconstruct_error(coeffs, roots):
     return err
 
 
-def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
+def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     """Find all roots of a Q-polynomial at the given precision (bits).
 
     A scale-53 _aberth pass seeds the full pass (see _seed).  The full
@@ -243,7 +245,7 @@ def solve_roots(qp: QPolynomial, precision: int = 256) -> RootSet:
     fixed, iterations = _aberth(coeffs, _seed(coeffs, scale), precision, scale) if n > 0 else ([], 0)
     with mp.workprec(scale):
         roots = [mp.mpc(mp.mpf((xr, -scale)), mp.mpf((xi, -scale))) for xr, xi in fixed]
-        err = _reconstruct_error(coeffs, roots) if n > 0 else mp.mpf(0)
+        err = _reconstruct_error(coeffs, roots)
         tol = mp.mpf(2) ** (20 - precision)
         if err > tol:
             raise NonConvergenceError(
@@ -357,8 +359,6 @@ def bethe_residual(rs: RootSet):
     |defect|^2 converts to mpmath.
     """
     n = rs.n
-    if n == 0:
-        return mp.mpf(0)
     prec = rs.precision + GUARD_BITS
     S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.roots, prec)
     one = 1 << S

@@ -30,8 +30,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-DEFAULT_PRECISION = 256
-
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
@@ -52,8 +50,8 @@ def _flatten(payload, prefix=""):
     out = {}
     if isinstance(payload, dict):
         for k, v in payload.items():
-            out.update(_flatten(v, f"{prefix}{k}." if prefix else f"{k}."))
-        return {k.rstrip("."): v for k, v in out.items()} if not prefix else out
+            out.update(_flatten(v, f"{prefix}{k}."))
+        return out
     if isinstance(payload, list):
         return {prefix.rstrip("."): json.dumps(payload)}
     return {prefix.rstrip("."): payload}
@@ -67,7 +65,7 @@ def _mp_str(x) -> dict:
 
 
 def _cmd_qpoly(args) -> int:
-    qp = qfunctions.elem_for(Boundary(args.boundary), args.n)
+    qp = qfunctions.elem_for(args.boundary, args.n)
     _emit({"boundary": qp.boundary.value, "n": qp.n,
            "e": [rat_to_str(e) for e in qp.evalues]}, args.format)
     return EXIT_OK
@@ -100,15 +98,16 @@ def _nonconvergence_json(name: str, n: int, exc: bethe.NonConvergenceError) -> d
 
 def _verify_usage_error(args):
     """Why the `verify` options would check nothing or fail part way, or
-    None.  Checked before any report runs, so a bad option prints none."""
-    if args.which == "all":
-        if args.n is not None:
-            return "verify all takes --max-n K, not --n"
-        flag, value = "--max-n", args.max_n
-    elif args.n is None:
-        return "verify requires --n (or use 'verify all --max-n K')"
-    else:
-        flag, value = "--n", args.n
+    None.  `verify all` takes --max-n K and a named identity --n K; the
+    other flag, or neither, is an error.  Checked before any report runs,
+    so a bad option prints none."""
+    flag, other = ("--max-n", "--n") if args.which == "all" else ("--n", "--max-n")
+    given = {"--n": args.n, "--max-n": args.max_n}
+    if given[other] is not None:
+        return f"verify {args.which} takes {flag} K, not {other}"
+    value = given[flag]
+    if value is None:
+        return f"verify {args.which} requires {flag} K"
     if value < 1:
         return f"verify needs {flag} >= 1, got {value}"
     if args.precision < bethe.MIN_PRECISION:
@@ -147,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_roots(args) -> int:
-    qp = qfunctions.elem_for(Boundary(args.boundary), args.n)
+    qp = qfunctions.elem_for(args.boundary, args.n)
     rs = bethe.solve_roots(qp, args.precision)
     with mp.workprec(args.precision):
         payload = {
@@ -165,12 +164,11 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    boundary = Boundary(args.boundary)
-    basis, h = ed.build_hamiltonian(args.L, boundary)
+    basis, h = ed.build_hamiltonian(args.L, args.boundary)
     val, vec = ed.groundstate(h)
     obs = ed.rs_observables(vec)
     _emit({
-        "boundary": boundary.value,
+        "boundary": args.boundary,
         "L": args.L,
         "sector": basis.n,
         "dim": len(basis),
@@ -185,11 +183,7 @@ def _cmd_diag(args) -> int:
 def _cmd_schur(args) -> int:
     parts = [int(p) for p in args.partition.split(",") if p.strip()]
     evals = [Fraction(s) for s in args.evalues.split(",") if s.strip()]
-    if not evals or evals[0] != 1:
-        raise ValueError("e-values must start with e_0 = 1")
     nvars = args.nvars if args.nvars is not None else len(evals) - 1
-    if len(evals) < nvars + 1:
-        raise ValueError(f"--nvars {nvars} needs e_0..e_{nvars}, got {len(evals)} e-values")
     table = symfunc.SymTable(evals, nvars)
     value = symfunc.schur_nk(symfunc.Partition(parts), table)
     _emit({"partition": parts, "schur": rat_to_str(value)}, args.format)
@@ -217,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify one identity (or the whole suite)")
     p.add_argument("which", choices=[*conjectures.VERIFIERS, "all"])
     p.add_argument("--n", type=int)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--precision", type=int, default=bethe.DEFAULT_PRECISION)
 
     p = sub.add_parser("roots", help="certified high-precision Bethe roots")
     p.add_argument("--boundary", required=True,
                    choices=[b.value for b in Boundary])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
+    p.add_argument("--precision", type=int, default=bethe.DEFAULT_PRECISION)
 
     p = sub.add_parser("diag", help="exact-diagonalization groundstate observables")
     p.add_argument("--L", type=int, required=True)
@@ -261,7 +255,7 @@ def run(argv=None) -> int:
     except (bethe.NonConvergenceError, ed.ArnoldiError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

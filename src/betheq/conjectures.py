@@ -134,43 +134,44 @@ def verify_twisted_product(n: int) -> VerificationReport:
 
 
 def _numeric_report(conjecture: str, n: int, precision: int, lhs, rhs) -> VerificationReport:
-    """A numeric report: lhs and rhs are values or equal-length tuples, and
-    each component is equal when |l - r| <= 2^(40 - precision) |r|.  Call
-    it at the working precision of the values."""
-    tol = mp.mpf(2) ** (40 - precision)
-    pairs = zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]
+    """A numeric report at the working precision precision + GUARD_BITS:
+    lhs holds values computed at that precision and rhs their exact integer
+    targets, each a value or an equal-length tuple, and each component is
+    equal when |l - r| <= 2^(40 - precision) |r|."""
+    with mp.workprec(precision + bethe.GUARD_BITS):
+        tol = mp.mpf(2) ** (40 - precision)
+        pairs = zip(lhs, rhs) if isinstance(lhs, tuple) else [(lhs, rhs)]
+        equal = all(abs(l - r) <= tol * abs(r) for l, r in pairs)
     return VerificationReport(
         conjecture=conjecture,
         n=n,
         lhs=lhs,
         rhs=rhs,
-        equal=all(abs(l - r) <= tol * abs(r) for l, r in pairs),
+        equal=equal,
         method="numeric",
         precision_bits=precision,
         tolerance=tol,
     )
 
 
-def verify_reflecting_product(n: int, precision: int = 256) -> VerificationReport:
+def verify_reflecting_product(n: int,
+                              precision: int = bethe.DEFAULT_PRECISION) -> VerificationReport:
     """The reflecting double product over 2n variables equals
     A_V(2n+1)^2 N_8(2n)^4, checked numerically from certified roots."""
     rs = bethe.solve_roots(elem_reflecting(n), precision)
-    with mp.workprec(precision + bethe.GUARD_BITS):
-        lhs = bethe.reflecting_double_product(rs)
-        rhs = mp.mpf(asm_v(2 * n + 1)) ** 2 * mp.mpf(n8(2 * n)) ** 4
-        return _numeric_report("conj2", n, precision, lhs, rhs)
+    rhs = asm_v(2 * n + 1) ** 2 * n8(2 * n) ** 4
+    return _numeric_report("conj2", n, precision, bethe.reflecting_double_product(rs), rhs)
 
 
-def verify_component_sums(n: int, precision: int = 256) -> VerificationReport:
+def verify_component_sums(n: int, precision: int = bethe.DEFAULT_PRECISION) -> VerificationReport:
     """The two permutation sums over the periodic groundstate roots equal
     A_n and A_n^2 (smallest and largest wavefunction component)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rs = bethe.solve_roots(elem_periodic(n), precision)
-    with mp.workprec(precision + bethe.GUARD_BITS):
-        a = asm_count(n)
-        lhs = (bethe.component_sum_small(rs), bethe.component_sum_large(rs))
-        return _numeric_report("sums", n, precision, lhs, (a, a * a))
+    a = asm_count(n)
+    lhs = (bethe.component_sum_small(rs), bethe.component_sum_large(rs))
+    return _numeric_report("sums", n, precision, lhs, (a, a * a))
 
 
 def _recursion(n: int, precision: int) -> VerificationReport:

@@ -49,8 +49,9 @@ class SymTable:
     number of variables.
 
     e_0 = 1 always; e_k = 0 for k > nvars and for negative k (the usual
-    convention in the determinantal identities).  Any other index past
-    the table raises IndexError, never a silent 0.
+    convention in the determinantal identities).  A table that lacks any
+    of e_0..e_nvars raises ValueError when it is built, so no missing
+    e-value is ever read as 0.
     """
 
     __slots__ = ("values", "nvars")
@@ -58,7 +59,10 @@ class SymTable:
     def __init__(self, values, nvars: int):
         values = list(values)
         if not values or values[0] != 1:
-            raise ValueError("v_0 must be 1")
+            raise ValueError("e-values must start with e_0 = 1")
+        if len(values) < nvars + 1:
+            raise ValueError(
+                f"{nvars} variables need e_0..e_{nvars}, got {len(values)} e-values")
         for k in range(nvars + 1, len(values)):
             if values[k] != 0:
                 raise ValueError(f"e_{k} must vanish beyond {nvars} variables")
@@ -68,10 +72,6 @@ class SymTable:
     def val(self, k: int):
         if k < 0 or k > self.nvars:
             return 0
-        if k >= len(self.values):
-            raise IndexError(
-                f"e-table holds indices up to {len(self.values) - 1}, need {k}"
-            )
         return self.values[k]
 
 

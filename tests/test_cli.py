@@ -1,12 +1,17 @@
 """CLI behaviour: output formats, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from betheq import asmcounts, bethe, cli, conjectures, ed
 from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_capture(capsys, argv):
@@ -76,7 +81,8 @@ class TestVerify:
         assert out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        # --n would otherwise be ignored for the default --max-n
+        # verify all takes --max-n only and a named identity --n only; the
+        # other flag would otherwise be ignored
         (["verify", "all", "--n", "2"], "verify all takes --max-n K, not --n"),
         (["verify", "all", "--n", "2", "--max-n", "1"], "verify all takes --max-n K, not --n"),
         # the exact reports would run before the numeric ones fail
@@ -84,6 +90,8 @@ class TestVerify:
          "precision must be at least 64 bits"),
         (["verify", "conj", "--n", "1", "--precision", "63"],
          "precision must be at least 64 bits"),
+        (["verify", "conj", "--n", "1", "--max-n", "9"], "verify conj takes --n K, not --max-n"),
+        (["verify", "all"], "verify all requires --max-n K"),
     ])
     def test_bad_option_fails_before_any_report(self, capsys, argv, message):
         assert run(argv) == EXIT_USAGE
@@ -102,6 +110,12 @@ class TestVerify:
         data = json.loads(out)
         assert data["equal"] is True
         assert len(data["reports"]) >= 7
+
+    def test_conj2_target_prints_exactly(self, capsys):
+        code, out = run_capture(capsys, ["verify", "conj2", "--n", "7"])
+        assert code == EXIT_OK
+        assert json.loads(out)["rhs"] == (
+            "318496282180454348370485880375633477697602939456000000")
 
     def test_report_carries_method_and_precision(self, capsys):
         _, out = run_capture(
@@ -212,7 +226,7 @@ class TestSchur:
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
         assert captured.out == ""
-        assert "--nvars 3 needs e_0..e_3" in captured.err
+        assert "3 variables need e_0..e_3, got 2 e-values" in captured.err
 
     def test_staircase_from_periodic_evalues(self, capsys):
         code, out = run_capture(
@@ -263,10 +277,25 @@ class TestParser:
         assert [r["n"] for r in reports] == [1] * len(conjectures.VERIFIERS)
         assert seen == [
             {"format": "json", "command": "verify", "which": "conj", "n": 2,
-             "max_n": 4, "precision": 256},
+             "max_n": None, "precision": 256},
             {"format": "json", "command": "verify", "which": "all", "n": None,
              "max_n": 1, "precision": 256},
         ]
+
+
+class TestReadme:
+    def test_cli_block_runs(self, capsys):
+        # every line of the sh block under "## CLI", comment stripped, exits 0
+        section = README.read_text().split("\n## CLI\n", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        outs = {}
+        for line in block.splitlines():
+            prog, *argv = shlex.split(line, comments=True)
+            assert prog == "betheq", line
+            code, outs[" ".join(argv)] = run_capture(capsys, argv)
+            assert code == EXIT_OK, line
+        assert outs["asm count --n 5"].strip() == "429"
+        assert json.loads(outs["verify conj --n 4"])["lhs"] == "74088"
 
 
 class TestExitCodes:

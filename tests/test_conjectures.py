@@ -134,6 +134,17 @@ class TestComponentSums:
         assert rep.rhs == (asm_count(n), asm_count(n) ** 2)
 
 
+class TestNumericVerdict:
+    @pytest.mark.parametrize("verify", [verify_reflecting_product, verify_component_sums])
+    def test_ignores_the_callers_precision(self, verify):
+        # the roots, the values and the verdict each set their own precision
+        with mp.workprec(20):
+            low = verify(3)
+        with mp.workprec(1000):
+            high = verify(3)
+        assert low == high == verify(3, bethe.DEFAULT_PRECISION)
+
+
 class TestSchurDet:
     def test_degenerate_sizes(self):
         assert groundstate_schur_det(elem_periodic(1)) == 1

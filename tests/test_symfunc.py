@@ -160,10 +160,10 @@ class TestSymTable:
             h.val(4)
 
     def test_missing_e_value_raises(self):
-        # e_2 of 3 variables is not given: no silent 0 below nvars
-        e = SymTable([1, Fraction(1, 2)], 3)
-        with pytest.raises(IndexError):
-            e.val(2)
+        # e_2 and e_3 of 3 variables are not given: the table is refused
+        # when it is built, so no index up to nvars reads as a silent 0
+        with pytest.raises(ValueError, match="need e_0..e_3"):
+            SymTable([1, Fraction(1, 2)], 3)
 
     def test_v0_must_be_one(self):
         with pytest.raises(ValueError):
