@@ -6,18 +6,19 @@ coefficient reconstruction, Bethe-equation residuals, and (downstream)
 comparison against exact diagonalization.  All tolerances are relative to
 the working precision.
 
-One Aberth kernel runs twice (Bini, Numer. Algorithms 13, 1996; Bini and
-Robol, J. Comput. Appl. Math. 272, 2014), in Gaussian fixed point on
-Python ints: a value is an (re, im) int pair times 2^-scale.  A pass at
-scale 53 walks in from a circle and seeds the full pass, whose scale is
-the working precision of solve_roots; each ends at its rounding floor.
-Every value read off the roots (residual, energy, ordered sums and the
+One Aberth kernel runs on a precision ladder (Bini, Numer. Algorithms 13,
+1996; Bini and Robol, J. Comput. Appl. Math. 272, 2014), in Gaussian
+fixed point on Python ints: a value is an (re, im) int pair times
+2^-scale.  A pass at scale 53 walks in from a circle, passes at twice
+the precision refine its roots, and the full pass at the working scale
+of solve_roots polishes them; each ends at its rounding floor.  The
+reconstruction gate rebuilds the polynomial on the same ints.  Every
+value read off the roots (residual, energy, ordered sums and the
 reflecting product) runs on Gaussian block floats of Python ints,
 (re, im, e) for (re + i im) 2^e, from one int form of the roots, q and
 z = (q - w)/(q w - 1) (_fixed_roots), and states its rounding bound.
 mpmath runs only at the module's edges: the start circle, the stall
-report, the reconstruction gate, the reflecting split and the
-conversion of results.
+report, the reflecting split and the conversion of results.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class NonConvergenceError(ArithmeticError):
         self.correction = correction
 
 
-def _mpf_frac(x: Fraction):
-    return mp.mpf(x.numerator) / x.denominator
-
-
 @dataclass(frozen=True)
 class RootSet:
     """Certified numeric roots of one Q-polynomial.
@@ -100,7 +97,8 @@ def _circle(coeffs, scale: int):
     (coefficients lowest degree first), as (re, im) ints at the given scale."""
     n = len(coeffs) - 1
     with mp.workprec(64):
-        radius = max(mp.mpf(1), *(abs(_mpf_frac(c)) for c in coeffs)) ** (mp.mpf(1) / n)
+        radius = max(mp.mpf(1), *(abs(mp.mpf(c.numerator) / c.denominator) for c in coeffs))
+        radius **= mp.mpf(1) / n
         points = [
             radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
             for j in range(n)
@@ -187,50 +185,59 @@ def _aberth(coeffs, roots, prec: int, scale: int):
     return roots, iterations
 
 
-def _seed(coeffs, scale: int):
-    """Start roots at the given scale for the full pass: the roots of a
-    scale-53 _aberth pass from the circle, or the circle itself when that
-    pass raises (its cap, a zero divisor) or returns coincident roots."""
-    try:
-        roots, _ = _aberth(coeffs, _circle(coeffs, 53), 53, 53)
-    except ArithmeticError:
-        return _circle(coeffs, scale)
-    if len(set(roots)) < len(roots):
-        return _circle(coeffs, scale)
-    shift = scale - 53
-    return [(xr << shift, xi << shift) for xr, xi in roots]
+def _seed(coeffs, extra: int, scale: int):
+    """Start roots at the given scale for the full pass, from a precision
+    ladder (Bini and Robol 2014): a scale-53 _aberth pass from the circle,
+    then passes from the last one's roots at twice its precision p and at
+    scale 2p + extra, while that stays below the given scale.  A rung that
+    raises (its cap, a zero divisor) or returns coincident roots sends the
+    full pass to the circle at the given scale."""
+    prec, at, roots = 53, 53, _circle(coeffs, 53)
+    while at < scale:
+        try:
+            roots, _ = _aberth(coeffs, roots, prec, at)
+        except ArithmeticError:
+            return _circle(coeffs, scale)
+        if len(set(roots)) < len(roots):
+            return _circle(coeffs, scale)
+        nxt = min(2 * prec + extra, scale)
+        roots, prec, at = [(xr << nxt - at, xi << nxt - at) for xr, xi in roots], 2 * prec, nxt
+    return roots
 
 
-def _reconstruct_error(coeffs, roots):
-    """Max relative coefficient error of prod (w - root) vs the exact
-    coefficients."""
-    rec = [mp.mpc(1)]
-    for r in roots:
-        new = [mp.mpc(0)] * (len(rec) + 1)
-        for k, c in enumerate(rec):
-            new[k + 1] += c
-            new[k] -= r * c
-        rec = new
-    err = mp.mpf(0)
-    for k, c in enumerate(coeffs):
-        cv = _mpf_frac(c)
-        scale = max(mp.mpf(1), abs(cv))
-        err = max(err, abs(rec[k] - cv) / scale)
-    return err
+def _reconstruct_error(coeffs, roots, scale: int):
+    """Max relative coefficient error |r_k - c_k| / max(1, |c_k|) of
+    r(w) = prod (w - x_i), for roots given as (re, im) int pairs at the
+    scale, against the exact coefficients c_k (lowest degree first); an
+    mpf at the working precision.  r is rebuilt in the same fixed point,
+    each x_m r_k rounded down by a shift (below sqrt 2 ulp), and a later
+    factor w - x_j grows the sum of an error's moduli by at most 1 + |x_j|:
+    every r_k is within n (n + 1) / sqrt 2 prod (1 + |x_i|) ulp of the
+    exact product of the given roots.  Only the worst exact squared ratio
+    converts to mpmath."""
+    re, im = [1 << scale], [0]
+    for xr, xi in roots:
+        ur, ui = [*re, 0], [*im, 0]
+        re = [p - ((xr * a - xi * b) >> scale) for p, a, b in zip([0, *re], ur, ui)]
+        im = [p - ((xr * b + xi * a) >> scale) for p, a, b in zip([0, *im], ur, ui)]
+    # |r_k - c_k|^2 / max(1, |c_k|)^2 with r_k = (xr + i xi) 2^-scale and c_k = a / b
+    worst = max(
+        Fraction((xr * b - (a << scale)) ** 2 + (xi * b) ** 2, max(abs(a), b) ** 2 << 2 * scale)
+        for (a, b), xr, xi in zip((c.as_integer_ratio() for c in coeffs), re, im))
+    return mp.sqrt(mp.mpf(worst.numerator) / worst.denominator)
 
 
 def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     """Find all roots of a Q-polynomial at the given precision (bits).
 
-    A scale-53 _aberth pass seeds the full pass (see _seed).  The full
-    pass runs at scale precision + GUARD_BITS + ceil(log2 max|c_k|), so
-    that rounding in the large coefficients does not eat into the
-    reconstruction bound, and stops on 2^(4-precision) relative steps or
-    on its rounding floor (see _aberth).  Its roots enter mpmath rounded
-    to that many bits, and the polynomial rebuilt from them must match
-    the exact coefficients to 2^(20-precision) relative, else
-    NonConvergenceError.  The returned roots are rounded to
-    precision + GUARD_BITS.
+    A precision ladder (see _seed) seeds the full _aberth pass at scale
+    precision + GUARD_BITS + ceil(log2 max|c_k|), so that rounding in the
+    large coefficients does not eat into the reconstruction bound.  That
+    pass only polishes and stops on 2^(4-precision) relative steps or on
+    its rounding floor (see _aberth).  The polynomial rebuilt from its int
+    roots (see _reconstruct_error) must match the exact coefficients to
+    2^(20-precision) relative, else NonConvergenceError.  The returned
+    roots are rounded to precision + GUARD_BITS.
     For the reflecting boundary the wt-roots are split through
     w^2 - wt*w + 1 = 0, keeping the branch with |w| >= 1 (tie: positive
     imaginary part); the mirror branch is stored as the exact reciprocal.
@@ -240,12 +247,12 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     n = qp.n
     coeffs = list(qp.poly().coeffs)
     top = max(abs(c) for c in coeffs)
-    # ceil(log2 top): the bit length of ceil(top) - 1 (top >= 1, monic)
-    scale = precision + GUARD_BITS + (-(-top.numerator // top.denominator) - 1).bit_length()
-    fixed, iterations = _aberth(coeffs, _seed(coeffs, scale), precision, scale) if n > 0 else ([], 0)
+    extra = (-(-top.numerator // top.denominator) - 1).bit_length()  # ceil(log2 top), top >= 1
+    scale = precision + GUARD_BITS + extra
+    fixed, iterations = (_aberth(coeffs, _seed(coeffs, extra, scale), precision, scale)
+                         if n > 0 else ([], 0))
     with mp.workprec(scale):
-        roots = [mp.mpc(mp.mpf((xr, -scale)), mp.mpf((xi, -scale))) for xr, xi in fixed]
-        err = _reconstruct_error(coeffs, roots)
+        err = _reconstruct_error(coeffs, fixed, scale)
         tol = mp.mpf(2) ** (20 - precision)
         if err > tol:
             raise NonConvergenceError(
@@ -253,6 +260,7 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
                 f" exceeds {mpmath.nstr(tol, 8)}",
                 degree=n, precision=precision, iterations=iterations, correction=err,
             )
+        roots = [mp.mpc(mp.mpf((xr, -scale)), mp.mpf((xi, -scale))) for xr, xi in fixed]
         wt = None
         if qp.boundary is Boundary.REFLECTING:
             wt, roots = roots, []

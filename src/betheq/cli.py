@@ -5,8 +5,8 @@ with deterministic output.  Exact values are serialized as strings
 (rationals "p/q", cyclotomic {"a", "b"}) so the JSON round-trips
 losslessly; numeric values carry their precision and tolerance.
 
-Exit codes: 0 success / all verifications passed, 1 a verification
-failed, 2 usage error, 3 numeric non-convergence.
+Exit codes: 0 success / all verifications passed, 1 a verification failed
+or the output pipe closed, 2 usage error, 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -261,7 +262,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # reader gone (`| head`): devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

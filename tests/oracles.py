@@ -5,11 +5,11 @@ takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, a point evaluator for the
 closed rational form of Q_n, the special-value check, and the Aberth
-iteration, the Bethe residual, the energy, the ordered-sum dynamic
-programme, the wavefunction component and the reflecting double product
-in mpmath arithmetic, with their own q, variable change and embedding of
-Q(q), and the ED sector Hamiltonian built one state at a time, with its
-dense array.
+iteration, the coefficient-reconstruction gate, the Bethe residual, the
+energy, the ordered-sum dynamic programme, the wavefunction component and
+the reflecting double product in mpmath arithmetic, with their own q,
+variable change and embedding of Q(q), and the ED sector Hamiltonian
+built one state at a time, with its dense array.
 """
 
 from __future__ import annotations
@@ -561,6 +561,24 @@ def aberth_mpmath(cs, roots, prec: int):
             degree=n, precision=prec, iterations=cap, correction=worst,
         )
     return roots, iterations
+
+
+def reconstruct_error_mpmath(coeffs, roots):
+    """Max relative coefficient error |r_k - c_k| / max(1, |c_k|) of
+    r(w) = prod (w - root) against the exact coefficients c_k (lowest
+    degree first), rebuilt in mpmath at the working precision."""
+    rec = [mp.mpc(1)]
+    for r in roots:
+        new = [mp.mpc(0)] * (len(rec) + 1)
+        for k, c in enumerate(rec):
+            new[k + 1] += c
+            new[k] -= r * c
+        rec = new
+    err = mp.mpf(0)
+    for k, c in enumerate(coeffs):
+        cv = mp.mpf(c.numerator) / c.denominator
+        err = max(err, abs(rec[k] - cv) / max(mp.mpf(1), abs(cv)))
+    return err
 
 
 def bethe_residual_mpmath(rs: RootSet):

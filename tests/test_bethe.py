@@ -35,6 +35,7 @@ from oracles import (
     bethe_residual_mpmath,
     energy_mpmath,
     perm_sum_mpmath,
+    reconstruct_error_mpmath,
     reflecting_double_product_mpmath,
     to_w,
     to_z,
@@ -136,13 +137,17 @@ class TestAberthStoppingRule:
                 assert abs(_mpc(r, 53) ** 3 + 1) < mp.mpf(2) ** -45
 
     def test_float_seed_shortens_the_multiprecision_pass(self):
-        # 20 iterations from the circle; the scale-53 seeds leave about 3
-        assert solve_roots(elem_periodic(20), 256).iterations <= 6
+        # from the last rung of the ladder the full pass only polishes: one
+        # step, and one to see that the roots stopped (a single scale-53
+        # seed left 11 and 6)
+        assert solve_roots(elem_reflecting(24), 256).iterations <= 3
+        assert solve_roots(elem_periodic(6), 4096).iterations <= 3
 
 
 class TestMpmathOracle:
     """The fixed-point kernel behind solve_roots against the mpmath Aberth
-    iteration at 512 bits, started from the scale-53 seed roots."""
+    iteration at 512 bits, started from the roots of the ladder's first
+    rung, the scale-53 pass from the circle."""
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("n", [4, 10, 20])
@@ -153,7 +158,8 @@ class TestMpmathOracle:
         coeffs = list(qp.poly().coeffs)
         with mp.workprec(512):
             cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
-            start = [_mpc(r, 64) for r in bethe._seed(coeffs, 64)]
+            rung, _ = bethe._aberth(coeffs, bethe._circle(coeffs, 53), 53, 53)
+            start = [_mpc(r, 53) for r in rung]
             want, _ = aberth_mpmath(cs, start, 256)
             for w in want:
                 near = min(got, key=lambda g: abs(g - w))
@@ -161,61 +167,107 @@ class TestMpmathOracle:
                 got.remove(near)
 
 
+def solve_recording_passes(monkeypatch, qp, precision=256, fail=None):
+    """solve_roots(qp, precision), recording every circle built as
+    (scale, points) and every _aberth pass as (start, prec, scale, roots).
+    fail = (i, result) makes pass i return the roots `result` instead, or
+    raise `result` when it is an exception (recorded with roots None)."""
+    circles, passes = [], []
+    circle, aberth = bethe._circle, bethe._aberth
+
+    def spy_circle(coeffs, scale):
+        circles.append((scale, circle(coeffs, scale)))
+        return circles[-1][1]
+
+    def spy_aberth(coeffs, roots, prec, scale):
+        start = list(roots)
+        roots, iterations = aberth(coeffs, roots, prec, scale)
+        if fail and fail[0] == len(passes):
+            if isinstance(fail[1], Exception):
+                passes.append((start, prec, scale, None))
+                raise fail[1]
+            roots = fail[1]
+        passes.append((start, prec, scale, roots))
+        return roots, iterations
+
+    monkeypatch.setattr(bethe, "_circle", spy_circle)
+    monkeypatch.setattr(bethe, "_aberth", spy_aberth)
+    return solve_roots(qp, precision), circles, passes
+
+
 class TestFloatSeed:
-    """The scale-53 pass only seeds the full pass: when its roots are
-    unusable, that pass starts from the circle and still converges."""
+    """The precision ladder only seeds the full pass: its first rung walks
+    in from the circle at scale 53, each later rung starts from the last
+    one's roots at twice the precision, and when a rung fails the full
+    pass starts from the circle and still converges."""
 
     @staticmethod
-    def solve_recording_starts(monkeypatch, qp, seed_roots=None):
-        """solve_roots(qp, 256), recording every circle built, the roots of
-        each scale-53 pass and the start roots of each full pass;
-        seed_roots, if given, replaces the result of the scale-53 pass."""
-        circles, seeds, starts = [], [], []
-        circle, aberth = bethe._circle, bethe._aberth
+    def assert_ladder(circles, passes, precision):
+        """One circle, at scale 53, starts the first rung; each later pass
+        starts from the last one's roots, shifted to its scale; rungs double
+        the precision at scale precision + extra; the full pass runs at
+        precision + GUARD_BITS + extra, which the next rung would reach."""
+        (start, prec, scale, _), *rungs, full = passes
+        assert circles == [(53, start)] and (prec, scale) == (53, 53)
+        extra = rungs[0][2] - 106
+        for before, after in zip(passes, passes[1:]):
+            shift = after[2] - before[2]
+            assert shift > 0 and after[0] == [(xr << shift, xi << shift) for xr, xi in before[3]]
+        for before, rung in zip(passes, rungs):
+            assert rung[1] == 2 * before[1] and rung[2] == rung[1] + extra
+        assert full[1:3] == (precision, precision + bethe.GUARD_BITS + extra)
+        assert passes[-2][2] < full[2] <= 2 * passes[-2][1] + extra
 
-        def spy_circle(coeffs, scale):
-            circles.append(circle(coeffs, scale))
-            return circles[-1]
-
-        def spy_aberth(coeffs, roots, prec, scale):
-            if scale == 53:
-                result = aberth(coeffs, roots, prec, scale)
-                seeds.append(seed_roots or result[0])
-                return seeds[-1], result[1]
-            starts.append(list(roots))
-            return aberth(coeffs, roots, prec, scale)
-
-        monkeypatch.setattr(bethe, "_circle", spy_circle)
-        monkeypatch.setattr(bethe, "_aberth", spy_aberth)
-        return solve_roots(qp, 256), circles, seeds, starts
+    @pytest.mark.parametrize("boundary, n, precision", [
+        (Boundary.PERIODIC, 20, 256), (Boundary.REFLECTING, 24, 256),
+        (Boundary.TWISTED, 9, 64), (Boundary.PERIODIC, 6, 4096),
+    ])
+    def test_rungs_double_the_precision(self, monkeypatch, boundary, n, precision):
+        rs, circles, passes = solve_recording_passes(monkeypatch, elem_for(boundary, n), precision)
+        self.assert_ladder(circles, passes, precision)
+        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - precision)
 
     def test_coefficients_overflowing_a_double(self, monkeypatch):
         # (w - a)(w + a)(w - 3a) with a = 10^134: e_3 = -3a^3 ~ -10^402,
-        # beyond the double range but not beyond the ints of the seed pass
+        # beyond the double range but not beyond the ints of the ladder
         a = 10**134
         qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3 * a, -a * a, -3 * a**3))))
-        rs, circles, seeds, starts = self.solve_recording_starts(monkeypatch, qp)
-        # one circle, for the seed pass; the full pass starts from its roots
-        assert len(circles) == len(seeds) == len(starts) == 1
-        shift = starts[0][0][0].bit_length() - seeds[0][0][0].bit_length()
-        assert starts[0] == [(xr << shift, xi << shift) for xr, xi in seeds[0]]
+        rs, circles, passes = solve_recording_passes(monkeypatch, qp)
+        self.assert_ladder(circles, passes, 256)
         assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
         with mp.workprec(256):
             assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([-1, 1, 3], abs=1e-60)
 
-    @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 8), (Boundary.REFLECTING, 6)])
-    def test_coincident_float_roots(self, monkeypatch, boundary, n):
-        qp = elem_for(boundary, n)
-        coincident = [(1 << 53, 1 << 53)] * (n - 1) + [(0, 2 << 53)]
-        rs, circles, seeds, starts = self.solve_recording_starts(monkeypatch, qp, coincident)
-        assert starts == circles[1:]
+    @staticmethod
+    def assert_full_pass_from_the_circle(rs, circles, passes):
+        """The full pass starts from a second circle, at its own scale."""
+        assert len(circles) == 2 and circles[1] == (passes[-1][2], passes[-1][0])
         assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
         assert rs.residual < mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 8), (Boundary.REFLECTING, 6)])
+    def test_coincident_float_roots(self, monkeypatch, boundary, n):
+        coincident = [(1 << 53, 1 << 53)] * (n - 1) + [(0, 2 << 53)]
+        rs, circles, passes = solve_recording_passes(monkeypatch, elem_for(boundary, n),
+                                                     fail=(0, coincident))
+        assert len(passes) == 2
+        self.assert_full_pass_from_the_circle(rs, circles, passes)
+
+    @pytest.mark.parametrize("rung, failure", [
+        (0, ZeroDivisionError()), (1, ZeroDivisionError()), (2, ZeroDivisionError()),
+        (1, [(1, 1)] * 8), (2, [(1, 1)] * 8),
+    ], ids=["0-raises", "1-raises", "2-raises", "1-coincident", "2-coincident"])
+    def test_failing_rung(self, monkeypatch, rung, failure):
+        # periodic n = 8 at 256 bits climbs rungs 0, 1 and 2 (53, 106, 212 bits)
+        rs, circles, passes = solve_recording_passes(monkeypatch, elem_periodic(8),
+                                                     fail=(rung, failure))
+        assert len(passes) == rung + 2
+        self.assert_full_pass_from_the_circle(rs, circles, passes)
 
 
 class TestNonConvergence:
     def test_reconstruction_failure_carries_fields(self, monkeypatch):
-        monkeypatch.setattr(bethe, "_reconstruct_error", lambda coeffs, roots: mp.mpf(1))
+        monkeypatch.setattr(bethe, "_reconstruct_error", lambda coeffs, roots, scale: mp.mpf(1))
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(elem_periodic(4), PREC)
         err = info.value
@@ -239,7 +291,8 @@ class TestNonConvergence:
     def test_message_is_short_and_keeps_the_exponent(self, monkeypatch):
         # a message cut at 160 characters must still read as 1.04e-40
         tiny = "1.0379423292751122942761111189117939552395705548131500380e-40"
-        monkeypatch.setattr(bethe, "_reconstruct_error", lambda coeffs, roots: mp.mpf(tiny))
+        monkeypatch.setattr(bethe, "_reconstruct_error",
+                            lambda coeffs, roots, scale: mp.mpf(tiny))
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(elem_periodic(4), PREC)
         message = str(info.value)
@@ -269,7 +322,7 @@ class TestStallSizes:
         assert len(values) == n
         with mp.workprec(512):
             tol = mp.mpf(2) ** (20 - 256)
-            assert bethe._reconstruct_error(list(qp.poly().coeffs), values) <= tol
+            assert reconstruct_error_mpmath(list(qp.poly().coeffs), values) <= tol
             for got, want in ((mp.fsum(values), qp.evalues[1]),
                               (mp.fprod(values), qp.evalues[n])):
                 want = mp.mpf(want.numerator) / want.denominator
@@ -280,10 +333,11 @@ class TestStallSizes:
 
 
 class TestLargeCoefficients:
-    """Cubics with coefficients up to 10^1500, at 256 bits.  The mpmath
+    """Cubics with coefficients up to 10^2700, at 256 bits.  The mpmath
     kernel stalled at its cap on every three-real case and failed
     reconstruction on the huge constant term at k = 400, 500 and on the
-    huge linear coefficient at k = 330, 400."""
+    huge linear coefficient at k = 330, 400; a single scale-53 seed failed
+    reconstruction on the huge constant term from k = 600."""
 
     @pytest.mark.parametrize("k", [300, 330, 400, 500])
     def test_three_real_roots_of_one_sign(self, k):
@@ -295,7 +349,7 @@ class TestLargeCoefficients:
         with mp.workprec(256):
             assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([1, 2, 4], abs=1e-60)
 
-    @pytest.mark.parametrize("k", [300, 330, 400, 500])
+    @pytest.mark.parametrize("k", [300, 330, 400, 500, 600, 700, 900])
     def test_huge_constant_term(self, k):
         # w^3 - 2w^2 + 3w - 10^k
         qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 2, 3, 10**k))))
@@ -306,6 +360,53 @@ class TestLargeCoefficients:
         # w^3 - 3w^2 + 10^k w - 7: one root near 7 10^-k, two of size 10^(k/2)
         qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**k, 7))))
         assert solve_roots(qp, 256).reconstruction_error <= mp.mpf(2) ** (20 - 256)
+
+    def test_huge_linear_coefficient_stalls_loudly(self):
+        # From k = 700 the scale-53 rung leaves two roots on the circle, the
+        # next rung stalls, and the full pass, sent back to the circle,
+        # stalls at its cap: a known limit, which must stay a structured
+        # error and never a silent pass.
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**700, 7))))
+        with pytest.raises(NonConvergenceError) as info:
+            solve_roots(qp, 256)
+        err = info.value
+        assert "stalled at correction" in str(err)
+        assert (err.degree, err.precision, err.iterations) == (3, 256, 64 + 8 * 256 // 16)
+        assert err.correction > mp.mpf(2) ** (4 - 256)
+
+
+class TestReconstructionOracle:
+    """The integer reconstruction gate against the mpmath one
+    (oracles.reconstruct_error_mpmath) at the same working precision, on
+    the int roots solve_roots hands the gate and on those roots with their
+    last 96 bits cleared, whose error stands far above the rounding of
+    either gate.  Each gate rounds within about n (n + 1) prod (1 + |x_i|)
+    ulp (see _reconstruct_error)."""
+
+    CUBICS = {
+        "three-real-300": (1, 7 * 10**300, 14 * 10**600, 8 * 10**900),
+        "constant-600": (1, 2, 3, 10**600),
+        "linear-500": (1, 3, 10**500, 7),
+    }
+
+    @pytest.mark.parametrize("qp", [
+        *(elem_for(b, n) for b in Boundary for n in (4, 10, 20, 45)),
+        *(QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, c))) for c in CUBICS.values()),
+    ], ids=[*(f"{b.value}-{n}" for b in Boundary for n in (4, 10, 20, 45)), *CUBICS])
+    def test_agrees_on_the_same_roots(self, monkeypatch, qp):
+        calls, gate = [], bethe._reconstruct_error
+        monkeypatch.setattr(bethe, "_reconstruct_error",
+                            lambda *args: calls.append(args) or gate(*args))
+        solve_roots(qp, 256)
+        (coeffs, roots, scale), = calls
+        for cut in (0, 96):
+            cut_roots = [(xr >> cut << cut, xi >> cut << cut) for xr, xi in roots]
+            with mp.workprec(scale):
+                ws = [_mpc(r, scale) for r in cut_roots]
+                bound = 2 * qp.n * (qp.n + 1) * mp.fprod(1 + abs(w) for w in ws)
+                bound *= mp.mpf(2) ** -scale
+                got, want = gate(coeffs, cut_roots, scale), reconstruct_error_mpmath(coeffs, ws)
+                assert abs(got - want) <= bound
 
 
 class TestResiduals:

@@ -1,7 +1,10 @@
 """CLI behaviour: output formats, exit codes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -301,6 +304,18 @@ class TestReadme:
 class TestExitCodes:
     def test_usage_error_on_unknown_command(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
+
+    def test_closed_output_pipe_exits_quietly(self):
+        # The reader closes the pipe before betheq writes, as `| head -c 10`
+        # can: the command exits 1 with nothing on stderr, no traceback.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        argv = [sys.executable, "-m", "betheq.cli", *"roots --boundary reflecting --n 6".split()]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == EXIT_FAIL
+        assert err == b""
 
     def test_failing_verification_exits_one(self, capsys, monkeypatch):
         import betheq.conjectures as conj
