@@ -19,6 +19,7 @@ __all__ = [
     "QINV",
     "ExactDivisionError",
     "gen_binom",
+    "int_binom",
     "falling_binom",
     "rat_to_str",
 ]
@@ -28,21 +29,22 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a division that must be exact leaves a remainder."""
 
 
-def falling_binom(a, k: int) -> Fraction:
-    """binom(a, k) as the falling-factorial product a(a-1)...(a-k+1)/k!.
-
-    Defined for every rational a; k < 0 gives 0.  This is the classical
-    generalized binomial, nonzero for negative integer tops: for integer a
-    it is comb(a, k) when a >= 0 and (-1)^k comb(k - a - 1, k) otherwise.
-    """
+def int_binom(a: int, k: int) -> int:
+    """binom(a, k) for an integer top a, as an int; k < 0 gives 0.  The
+    generalized binomial: (-1)^k comb(k - a - 1, k) for a < 0."""
     if k < 0:
-        return Fraction(0)
+        return 0
+    return math.comb(a, k) if a >= 0 else (-1) ** k * math.comb(k - a - 1, k)
+
+
+def falling_binom(a, k: int) -> Fraction:
+    """binom(a, k) = a(a-1)...(a-k+1)/k! for every rational a, the classical
+    generalized binomial; k < 0 gives 0, and an integer top is int_binom."""
     a = Fraction(a)
     if a.denominator == 1:
-        top = a.numerator
-        if top >= 0:
-            return Fraction(math.comb(top, k))
-        return Fraction((-1) ** k * math.comb(k - top - 1, k))
+        return Fraction(int_binom(a.numerator, k))
+    if k < 0:
+        return Fraction(0)
     p, d = a.numerator, a.denominator
     return Fraction(math.prod(p - i * d for i in range(k)), d**k * math.factorial(k))
 
@@ -55,8 +57,8 @@ def gen_binom(a, k: int) -> Fraction:
     falling_binom(a, k).  The truncation is the convention under which the
     paper's binomial sums for the e-values come out right (the reference
     formulas in ``tests/test_qfunctions.py``; see the n=1 twisted root
-    w = 1/2).  The program uses falling_binom only, and this stays here
-    because the benchmark counts its calls (``perfbench/spans.py``).
+    w = 1/2).  The program uses falling_binom and int_binom only, and this
+    stays here because the benchmark counts its calls (``perfbench/spans.py``).
     """
     if k < 0:
         return Fraction(0)

@@ -5,11 +5,11 @@ L = 2n, reflecting with L = 2n) the groundstate Bethe roots are the zeros
 of a polynomial Q_n whose coefficients are, up to sign, elementary
 symmetric function values.  Each boundary has a closed rational form for
 Q_n: a sum of binomially weighted powers of w over a power of (1 + w), or,
-for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  One kernel
-builds all three coefficient lists by dividing that numerator exactly by
-the denominator, so a wrong term leaves a remainder and raises instead of
-giving a wrong polynomial.  The module also verifies the recursion and
-the binomial summation identities behind the closed forms.
+for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  The weights
+are Python ints, cleared over 3^N N! and reduced by their gcd, and one
+kernel divides that int numerator exactly by the denominator, so a wrong
+term raises instead of giving a wrong polynomial.  The recursion and the
+binomial summation identities behind the closed forms are checked in ints.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .exact import (
     ExactDivisionError,
     Poly,
     falling_binom,
+    int_binom,
     poly_div_exact,
 )
 
@@ -83,52 +84,65 @@ class QPolynomial:
         return Poly(coeffs)
 
 
+def _falling3(t: int, m: int) -> list:
+    """[F_t(0), ..., F_t(m)] with F_t(k) = prod_(i<k) (t - 3i) = binom(t/3, k) 3^k k!."""
+    out = [1]
+    for i in range(m):
+        out.append(out[-1] * (t - 3 * i))
+    return out
+
+
 def _rational_form(boundary: Boundary, n: int):
-    """The closed rational form of Q_n as (terms, base, power, c).
+    """The closed rational form of Q_n as (terms, base, power, c), all ints.
 
     For the periodic and twisted boundaries
         Q_n(w) = sum_(a, j) a w^j / ((base + w)^power c),
     and for the reflecting boundary, with wt = w + 1/w,
         Q_n(wt) = sum_(a, j) a (w^j - w^-j) / ((w - 1/w) (base + wt)^power c).
+    The weights a and c are products of binomials binom(t/3, k), cleared
+    over 3^N N! (N = n, or 2n if reflecting) and reduced by their gcd.
     """
-    third = Fraction(1, 3)
     terms = []
     if boundary is Boundary.PERIODIC:
+        # a_k = (-1)^k binom(n - 1/3, k) binom(n + 1/3, n - k)
+        f, g = _falling3(3 * n - 1, n), _falling3(3 * n + 1, n)
         for k in range(n + 1):
-            a = (-1) ** k * falling_binom(n - third, k) * falling_binom(n + third, n - k)
+            a = (-1) ** k * math.comb(n, k) * f[k] * g[n - k]
             terms += [((-1) ** n * a, 3 * k + 1), (a, 3 * n - 3 * k)]
-        return terms, 1, 2 * n + 1, falling_binom(n - third, n)
-    if boundary is Boundary.TWISTED:
+        base, power, c = 1, 2 * n + 1, f[n]
+    elif boundary is Boundary.TWISTED:
+        # (-1)^k binom(n - 2/3, n - k) binom(n - 1/3, k or k - 1); the k - 1
+        # weight carries a factor 3k, so it is 0 at k = 0
+        f, g = _falling3(3 * n - 1, n), _falling3(3 * n - 2, n)
         for k in range(n + 1):
-            a = (-1) ** k * falling_binom(n - 2 * third, n - k)
-            terms += [
-                ((-1) ** n * a * falling_binom(n - third, k), 3 * k),
-                (-a * falling_binom(n - third, k - 1), 3 * n - 3 * k + 2),
-            ]
-        return terms, 1, 2 * n, falling_binom(n - third, n)
-    up, down = 2 * n + 2 * third, 2 * n - 2 * third
-    for k in range(n + 1):
-        sgn = (-1) ** (n + k)
-        terms.append((sgn * falling_binom(up, n - k) * falling_binom(down, n + k), 3 * k + 1))
-        if k:
-            terms.append((sgn * falling_binom(up, n + k) * falling_binom(down, n - k), 1 - 3 * k))
-    return terms, 2, 2 * n, falling_binom(down, 2 * n)
+            a = (-1) ** k * math.comb(n, k) * g[n - k]
+            terms += [((-1) ** n * a * f[k], 3 * k), (-a * 3 * k * f[k - 1], 3 * n - 3 * k + 2)]
+        base, power, c = 1, 2 * n, f[n]
+    else:
+        # (-1)^(n+k) binom(2n + 2/3, n -/+ k) binom(2n - 2/3, n +/- k), the second for k > 0
+        up, down = _falling3(6 * n + 2, 2 * n), _falling3(6 * n - 2, 2 * n)
+        for k in range(n + 1):
+            b = (-1) ** (n + k) * math.comb(2 * n, n + k)
+            terms.append((b * up[n - k] * down[n + k], 3 * k + 1))
+            if k:
+                terms.append((b * up[n + k] * down[n - k], 1 - 3 * k))
+        base, power, c = 2, 2 * n, down[2 * n]
+    d = math.gcd(c, *(a for a, _ in terms))
+    return [(a // d, j) for a, j in terms], base, power, c // d
 
 
 def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
     """Q_n as the exact quotient of its closed rational form.
 
-    The weights are scaled by the lcm d of their denominators, and the int
-    numerator is divided in ints by the monic (base + x)^power, x = w or
-    wt; only the e-values are divided by d c.  A remainder raises
-    ExactDivisionError, and so does a quotient that is not d c times a monic
-    of degree n, so a wrong term in the form cannot return a wrong polynomial.
+    The int numerator (weights over 3^N N!, reduced by their gcd) is
+    divided in ints by the monic (base + x)^power, x = w or wt; each e-value
+    is one Fraction of a quotient coefficient over c.  A remainder raises
+    ExactDivisionError, and so does a quotient that is not c times a monic
+    of degree n, so a wrong term cannot return a wrong polynomial.
     """
     terms, base, power, c = _rational_form(boundary, n)
-    d = math.lcm(*(a.denominator for a, _ in terms))
     num = [0] * (max(abs(j) for _, j in terms) + 1)
     for a, j in terms:
-        a = a.numerator * (d // a.denominator)
         if boundary is Boundary.REFLECTING:
             # (w^j - w^-j) / (w - 1/w) is odd in j and a polynomial in wt
             for i, u in enumerate(chebyshev_expand(abs(j) - 1).coeffs):
@@ -137,11 +151,11 @@ def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
             num[j] += a
     den = Poly([math.comb(power, i) * base ** (power - i) for i in range(power + 1)])
     quot = poly_div_exact(Poly(num), den)
-    if quot.degree != n or quot[n] != d * c:
+    if quot.degree != n or quot[n] != c:
         raise ExactDivisionError(
             f"{boundary.value} Q_{n} rational form: quotient is not monic of degree {n}"
         )
-    evalues = tuple((-1) ** l * Fraction(quot[n - l], d * c) for l in range(n + 1))
+    evalues = tuple(Fraction((-1) ** l * quot[n - l], c) for l in range(n + 1))
     return QPolynomial(boundary, n, evalues)
 
 
@@ -178,18 +192,17 @@ def elem_for(boundary: Boundary, n: int) -> QPolynomial:
 def check_recursion_periodic(n: int) -> bool:
     """Exact polynomial identity
     (w+1)^2 (3n+2) Q_{n+1} = 3 (w^3-1)(2n+1) Q_n - (w^2-w+1)^2 (3n+1) Q_{n-1}
-    with all three polynomials built independently from their e-values."""
+    with all three polynomials built independently from their e-values,
+    each scaled to ints by the lcm of all their coefficient denominators."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    qm = elem_periodic(n - 1).poly()
-    qn = elem_periodic(n).poly()
-    qp = elem_periodic(n + 1).poly()
-    one = Fraction(1)
-    wp1 = Poly([one, one])
-    w3m1 = Poly([-one, 0, 0, one])
-    ww1 = Poly([one, -one, one])
-    lhs = wp1 * wp1 * qp.scale(3 * n + 2)
-    rhs = w3m1 * qn.scale(3 * (2 * n + 1)) - ww1 * ww1 * qm.scale(3 * n + 1)
+    qs = [elem_periodic(m).poly().coeffs for m in (n - 1, n, n + 1)]
+    d = math.lcm(*(c.denominator for q in qs for c in q))
+    qm, qn, qp = (Poly([c.numerator * (d // c.denominator) for c in q]) for q in qs)
+    # (w+1)^2, w^3-1 and (w^2-w+1)^2, lowest degree first
+    lhs = Poly([1, 2, 1]) * qp.scale(3 * n + 2)
+    rhs = (Poly([-1, 0, 0, 1]) * qn.scale(3 * (2 * n + 1))
+           - Poly([1, -2, 3, -2, 1]) * qm.scale(3 * n + 1))
     return lhs == rhs
 
 
@@ -205,32 +218,35 @@ def q_at_qinv(qp: QPolynomial) -> Cyclo:
 
 def _hyp_sides(which: int, n: int):
     """The lower index and the two sides of a hypergeometric identity at
-    fixed n.  Each side is a list of (top, weight) pairs and equals
-    sum falling_binom(top + s, bottom) * weight; the weights do not depend
-    on s."""
+    fixed n.  Each side is a list of (top, weight) pairs for the int sum
+    of int_binom(top + s, bottom) * weight; the weights, binomial products
+    scaled by the lcm of their denominators, do not depend on s."""
     B = falling_binom
     third = Fraction(1, 3)
-    two_thirds = Fraction(2, 3)
     ps = range(n + 1)
     if which == 1:
-        return 2 * n, [
+        bot, lhs, rhs = 2 * n, [
             (3 * p - n, B(n - third, p) * B(n + third, n - p)) for p in ps
         ], [
             (3 * p - n - 1, B(n - third, n - p) * B(n + third, p)) for p in ps
         ]
-    if which != 2:
+    elif which == 2:
+        bot, lhs, rhs = 2 * n - 1, [
+            (3 * p - n, B(n - third, p) * B(n - 2 * third, n - p)) for p in ps
+        ], [
+            (3 * p - n + 2, B(n - third, n - p - 1) * B(n - 2 * third, p)) for p in ps
+        ]
+    else:
         raise ValueError("which must be 1 or 2")
-    return 2 * n - 1, [
-        (3 * p - n, B(n - third, p) * B(n - two_thirds, n - p)) for p in ps
-    ], [
-        (3 * p - n + 2, B(n - third, n - p - 1) * B(n - two_thirds, p)) for p in ps
-    ]
+    d = math.lcm(*(w.denominator for _, w in lhs + rhs))
+    return bot, *([(top, w.numerator * (d // w.denominator)) for top, w in side]
+                  for side in (lhs, rhs))
 
 
 def _hyp_holds(sides, s: int) -> bool:
     bot, lhs, rhs = sides
-    return (sum(falling_binom(top + s, bot) * w for top, w in lhs)
-            == sum(falling_binom(top + s, bot) * w for top, w in rhs))
+    return (sum(int_binom(top + s, bot) * w for top, w in lhs)
+            == sum(int_binom(top + s, bot) * w for top, w in rhs))
 
 
 def verify_hyp_identity(which: int, n: int, s: int) -> bool:
@@ -245,9 +261,10 @@ def verify_hyp_identity(which: int, n: int, s: int) -> bool:
       sum_p binom(3p-n+s, 2n-1)   binom(n-1/3, p)     binom(n-2/3, n-p)
     = sum_p binom(3p-n+s+2, 2n-1) binom(n-1/3, n-p-1) binom(n-2/3, p)
 
-    Binomials are generalized falling factorials, so negative integer
-    tops stay nonzero; under that convention identity 1 holds for all
-    0 <= s <= 3n (with the truncating gen_binom it fails for s <= n).
+    Binomials are generalized, so negative integer tops stay nonzero;
+    identity 1 then holds for all 0 <= s <= 3n (the truncating gen_binom
+    fails it for s <= n).  Both sides are int sums, the weights scaled by
+    the lcm of their denominators.
     """
     return _hyp_holds(_hyp_sides(which, n), s)
 

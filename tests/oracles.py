@@ -4,7 +4,8 @@ None of these is on a path the `betheq` CLI or `conjectures.VERIFIERS`
 takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, a point evaluator for the
-closed rational form of Q_n, the special-value check, and the Aberth
+closed rational form of Q_n, that form and its e-values and the two
+hypergeometric sums in Fraction arithmetic, the special-value check, and the Aberth
 iteration, the coefficient-reconstruction gate, the Bethe residual, the
 energy, the ordered-sum dynamic programme, the wavefunction component and
 the reflecting double product in mpmath arithmetic, with their own q,
@@ -14,6 +15,7 @@ built one state at a time, with its dense array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,8 +36,14 @@ from betheq.ed import (
     SpinBasis,
     default_sector,
 )
-from betheq.exact import Cyclo
-from betheq.qfunctions import Boundary, _rational_form, elem_periodic, q_at_qinv
+from betheq.exact import Cyclo, ExactDivisionError, Poly, falling_binom, poly_div_exact
+from betheq.qfunctions import (
+    Boundary,
+    _rational_form,
+    chebyshev_expand,
+    elem_periodic,
+    q_at_qinv,
+)
 from betheq.symfunc import Partition, SymTable, _jt_det
 
 Q = Cyclo(0, 1)
@@ -463,6 +471,86 @@ def q_rational_eval(boundary: Boundary, n: int, w):
             raise ZeroDivisionError(f"w = -1 is a pole of the {boundary.value} rational form")
         num = sum(a * w**j for a, j in terms)
     return num / den / c
+
+
+def rational_form_fraction(boundary: Boundary, n: int):
+    """The closed rational form of Q_n as (terms, base, power, c) with
+    Fraction weights and normaliser, every binomial a falling_binom."""
+    third = Fraction(1, 3)
+    terms = []
+    if boundary is Boundary.PERIODIC:
+        for k in range(n + 1):
+            a = (-1) ** k * falling_binom(n - third, k) * falling_binom(n + third, n - k)
+            terms += [((-1) ** n * a, 3 * k + 1), (a, 3 * n - 3 * k)]
+        return terms, 1, 2 * n + 1, falling_binom(n - third, n)
+    if boundary is Boundary.TWISTED:
+        for k in range(n + 1):
+            a = (-1) ** k * falling_binom(n - 2 * third, n - k)
+            terms += [
+                ((-1) ** n * a * falling_binom(n - third, k), 3 * k),
+                (-a * falling_binom(n - third, k - 1), 3 * n - 3 * k + 2),
+            ]
+        return terms, 1, 2 * n, falling_binom(n - third, n)
+    up, down = 2 * n + 2 * third, 2 * n - 2 * third
+    for k in range(n + 1):
+        sgn = (-1) ** (n + k)
+        terms.append((sgn * falling_binom(up, n - k) * falling_binom(down, n + k), 3 * k + 1))
+        if k:
+            terms.append((sgn * falling_binom(up, n + k) * falling_binom(down, n - k), 1 - 3 * k))
+    return terms, 2, 2 * n, falling_binom(down, 2 * n)
+
+
+def evalues_fraction(boundary: Boundary, n: int) -> tuple:
+    """e_0..e_n of Q_n from rational_form_fraction: the weights scaled by
+    the lcm d of their denominators, the int numerator divided exactly by
+    (base + x)^power, and each e-value divided by d c."""
+    terms, base, power, c = rational_form_fraction(boundary, n)
+    d = math.lcm(*(a.denominator for a, _ in terms))
+    num = [0] * (max(abs(j) for _, j in terms) + 1)
+    for a, j in terms:
+        a = a.numerator * (d // a.denominator)
+        if boundary is Boundary.REFLECTING:
+            for i, u in enumerate(chebyshev_expand(abs(j) - 1).coeffs):
+                num[i] += a * u if j > 0 else -a * u
+        else:
+            num[j] += a
+    den = Poly([math.comb(power, i) * base ** (power - i) for i in range(power + 1)])
+    quot = poly_div_exact(Poly(num), den)
+    if quot.degree != n or quot[n] != d * c:
+        raise ExactDivisionError(f"{boundary.value} Q_{n}: quotient is not monic of degree {n}")
+    return tuple((-1) ** l * Fraction(quot[n - l], d * c) for l in range(n + 1))
+
+
+def hyp_sides_fraction(which: int, n: int):
+    """The lower index and the two sides of a hypergeometric identity,
+    with the binomial products as Fraction weights."""
+    B = falling_binom
+    third = Fraction(1, 3)
+    ps = range(n + 1)
+    if which == 1:
+        return 2 * n, [
+            (3 * p - n, B(n - third, p) * B(n + third, n - p)) for p in ps
+        ], [
+            (3 * p - n - 1, B(n - third, n - p) * B(n + third, p)) for p in ps
+        ]
+    return 2 * n - 1, [
+        (3 * p - n, B(n - third, p) * B(n - 2 * third, n - p)) for p in ps
+    ], [
+        (3 * p - n + 2, B(n - third, n - p - 1) * B(n - 2 * third, p)) for p in ps
+    ]
+
+
+def hyp_failures_fraction(which: int, max_n: int, sides=hyp_sides_fraction):
+    """The (n, s) pairs, 0 <= s <= 3n, n <= max_n, where the two sides
+    sides(which, n) differ, each summed in Fractions with falling_binom."""
+    failures = []
+    for n in range(max_n + 1):
+        bot, lhs, rhs = sides(which, n)
+        for s in range(3 * n + 1):
+            if (sum(falling_binom(top + s, bot) * w for top, w in lhs)
+                    != sum(falling_binom(top + s, bot) * w for top, w in rhs)):
+                failures.append((n, s))
+    return failures
 
 
 def qinv_product_value(n: int) -> Fraction:

@@ -1,5 +1,6 @@
 """Cyclotomic arithmetic over Q(q), q = exp(i pi/3), and exact polynomials."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -13,6 +14,7 @@ from betheq.exact import (
     QINV,
     falling_binom,
     gen_binom,
+    int_binom,
     poly_div_exact,
     rat_to_str,
 )
@@ -43,6 +45,14 @@ class TestBinomials:
         assert falling_binom(-1, 2) == 1
         assert falling_binom(-2, 3) == -4
         assert falling_binom(5, 2) == 10
+
+    def test_int_binom_is_the_falling_factorial_product(self):
+        for a in range(-30, 31):
+            for k in range(-3, 25):
+                expect = math.prod(a - i for i in range(k)) // math.factorial(k) if k >= 0 else 0
+                got = int_binom(a, k)
+                assert type(got) is int and got == expect, (a, k)
+        assert int_binom(-1, 2) == 1 and int_binom(-2, 3) == -4 and int_binom(-4, -1) == 0
 
     def test_conventions_agree_off_the_cut(self):
         for a in (Fraction(1, 3), Fraction(7, 2), 9):

@@ -1,6 +1,7 @@
 """Exact Q-polynomial coefficients, rational forms, recursion, special
 values and the binomial summation identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,15 @@ from betheq.qfunctions import (
     q_at_qinv,
     verify_hyp_identity,
 )
-from oracles import Q, check_special_values, q_rational_eval, qinv_product_value
+from oracles import (
+    Q,
+    check_special_values,
+    evalues_fraction,
+    hyp_failures_fraction,
+    q_rational_eval,
+    qinv_product_value,
+    rational_form_fraction,
+)
 
 
 def interpolate(points):
@@ -151,6 +160,36 @@ class TestEValues:
             QPolynomial(Boundary.TWISTED, 1, (2, 1))
 
 
+def _sizes(boundary, max_n):
+    return range(0 if boundary is Boundary.PERIODIC else 1, max_n + 1)
+
+
+class TestIntRationalForm:
+    """_rational_form in ints against the Fraction form it replaced
+    (oracles.rational_form_fraction) and the e-values that form gives."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_returns_only_reduced_ints(self, boundary):
+        for n in _sizes(boundary, 40):
+            terms, base, power, c = qfunctions._rational_form(boundary, n)
+            values = [base, power, c, *(x for term in terms for x in term)]
+            assert all(type(x) is int for x in values), n
+            assert c > 0 and math.gcd(c, *(a for a, _ in terms)) == 1, n
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_terms_match_fraction_oracle(self, boundary):
+        for n in _sizes(boundary, 40):
+            terms, base, power, c = qfunctions._rational_form(boundary, n)
+            fterms, fbase, fpower, fc = rational_form_fraction(boundary, n)
+            assert (base, power) == (fbase, fpower), n
+            assert [(Fraction(a, c), j) for a, j in terms] == [(a / fc, j) for a, j in fterms], n
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_evalues_match_fraction_oracle(self, boundary):
+        for n in _sizes(boundary, 60):
+            assert elem_for(boundary, n).evalues == evalues_fraction(boundary, n), n
+
+
 class TestRationalFormAgreement:
     """The e-values and the closed rational forms describe the same
     function.  Both read one coefficient table, so interpolating the
@@ -200,6 +239,22 @@ class TestRecursion:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_three_term_recursion(self, n):
         assert check_recursion_periodic(n)
+
+    @pytest.mark.parametrize("delta", [1, Fraction(1, 7)], ids=["1", "1/7"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16])
+    def test_perturbed_evalue_fails(self, n, delta, monkeypatch):
+        elem = qfunctions.elem_periodic
+
+        def perturbed(m):
+            qp = elem(m)
+            if m != n + 1:
+                return qp
+            ev = list(qp.evalues)
+            ev[1] += delta
+            return QPolynomial(qp.boundary, m, tuple(ev))
+
+        monkeypatch.setattr(qfunctions, "elem_periodic", perturbed)
+        assert not check_recursion_periodic(n)
 
 
 class TestSpecialValues:
@@ -312,6 +367,27 @@ class TestHypIdentities:
                 if not holds:
                     expect.append((n, s))
         assert hyp_failures(which, 8) == expect
+
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_matches_fraction_oracle(self, which):
+        assert hyp_failures(which, 14) == hyp_failures_fraction(which, 14) == []
+
+    @pytest.mark.parametrize("side", [1, 2])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_raised_weight_matches_fraction_oracle(self, which, side, monkeypatch):
+        sides = qfunctions._hyp_sides
+
+        def raised(which, n):
+            bot, *pair = sides(which, n)
+            if n == 3:
+                (top, w), *rest = pair[side - 1]
+                pair[side - 1] = [(top, w + 1), *rest]
+            return bot, *pair
+
+        monkeypatch.setattr(qfunctions, "_hyp_sides", raised)
+        fails = hyp_failures(which, 5)
+        assert fails and {n for n, _ in fails} == {3}
+        assert fails == hyp_failures_fraction(which, 5, sides=raised)
 
     def test_identity1_holds_generalized(self):
         assert hyp_failures(1, 10) == []
