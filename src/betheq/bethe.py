@@ -245,7 +245,7 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     n = qp.n
-    coeffs = list(qp.poly().coeffs)
+    coeffs = qp.coeffs
     top = max(abs(c) for c in coeffs)
     extra = (-(-top.numerator // top.denominator) - 1).bit_length()  # ceil(log2 top), top >= 1
     scale = precision + GUARD_BITS + extra

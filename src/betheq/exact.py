@@ -1,6 +1,6 @@
 """Exact number systems: rationals, the field Q(q) with q a primitive sixth
-root of unity, dense univariate polynomials with exact division by a monic
-divisor, and generalized binomials.
+root of unity, and generalized binomials.  Polynomials are plain int
+coefficient lists where they are built (``qfunctions``).
 
 All arithmetic here is exact and pure Python.  Rationals are
 ``fractions.Fraction`` (always in lowest terms, positive denominator).
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 __all__ = [
     "Cyclo",
-    "Poly",
     "QINV",
     "ExactDivisionError",
     "gen_binom",
@@ -39,7 +38,9 @@ def int_binom(a: int, k: int) -> int:
 
 def falling_binom(a, k: int) -> Fraction:
     """binom(a, k) = a(a-1)...(a-k+1)/k! for every rational a, the classical
-    generalized binomial; k < 0 gives 0, and an integer top is int_binom."""
+    generalized binomial; k < 0 gives 0, and an integer top is int_binom.
+    The program calls it nowhere; it serves the tests' Fraction oracles and
+    stays here because the benchmark counts its calls (``perfbench/spans.py``)."""
     a = Fraction(a)
     if a.denominator == 1:
         return Fraction(int_binom(a.numerator, k))
@@ -57,8 +58,9 @@ def gen_binom(a, k: int) -> Fraction:
     falling_binom(a, k).  The truncation is the convention under which the
     paper's binomial sums for the e-values come out right (the reference
     formulas in ``tests/test_qfunctions.py``; see the n=1 twisted root
-    w = 1/2).  The program uses falling_binom and int_binom only, and this
-    stays here because the benchmark counts its calls (``perfbench/spans.py``).
+    w = 1/2).  The program calls neither it nor falling_binom, only
+    int_binom; it serves the tests' reference sums and stays here because
+    the benchmark counts its calls (``perfbench/spans.py``).
     """
     if k < 0:
         return Fraction(0)
@@ -200,108 +202,3 @@ class Cyclo:
 
 
 QINV = Cyclo(1, -1)
-
-
-class Poly:
-    """Dense univariate polynomial over an exact commutative ring.
-
-    Coefficients are stored lowest degree first with no trailing zeros.
-    The zero polynomial has degree -1.  Coefficient ring elements must
-    support arithmetic with Python ints.  Division is `poly_div_exact`,
-    by a monic divisor only.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __getitem__(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def __add__(self, other):
-        other = self._as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._as_poly(other))
-
-    def __mul__(self, other):
-        other = self._as_poly(other)
-        if not self or not other:
-            return Poly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _as_poly(x):
-        if isinstance(x, Poly):
-            return x
-        return Poly([x])
-
-    def scale(self, k):
-        return Poly([c * k for c in self.coeffs])
-
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
-
-
-def poly_div_exact(num: Poly, den: Poly) -> Poly:
-    """Exact quotient by a monic divisor, which keeps int coefficients int;
-    a non-monic divisor raises ValueError and a nonzero remainder raises
-    ExactDivisionError.
-
-    The quotient is verified by re-multiplication, so a remainder signals a
-    transcription bug in whatever formula produced the operands.
-    """
-    if not den or den.coeffs[-1] != 1:
-        raise ValueError(f"divisor {den!r} is not monic")
-    rem = list(num.coeffs)
-    dd = den.degree
-    quot = [0] * max(num.degree - dd + 1, 0)
-    for i in range(len(quot) - 1, -1, -1):
-        c = rem[i + dd]
-        if c == 0:
-            continue
-        quot[i] = c
-        for j, dc in enumerate(den.coeffs):
-            rem[i + j] = rem[i + j] - c * dc
-    rem, quot = Poly(rem), Poly(quot)
-    if rem:
-        raise ExactDivisionError(f"nonzero remainder {rem!r} dividing {num!r} by {den!r}")
-    assert den * quot == num
-    return quot

@@ -7,9 +7,10 @@ symmetric function values.  Each boundary has a closed rational form for
 Q_n: a sum of binomially weighted powers of w over a power of (1 + w), or,
 for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  The weights
 are Python ints, cleared over 3^N N! and reduced by their gcd, and one
-kernel divides that int numerator exactly by the denominator, so a wrong
-term raises instead of giving a wrong polynomial.  The recursion and the
-binomial summation identities behind the closed forms are checked in ints.
+kernel divides that int numerator exactly by (base + x), one factor at a
+time by synthetic division, so a wrong term raises instead of giving a
+wrong polynomial.  The recursion and the binomial summation identities
+behind the closed forms are checked in ints.
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import (
-    Cyclo,
-    ExactDivisionError,
-    Poly,
-    falling_binom,
-    int_binom,
-    poly_div_exact,
-)
+from .exact import Cyclo, ExactDivisionError, int_binom
 
 __all__ = [
     "Boundary",
@@ -38,7 +32,6 @@ __all__ = [
     "q_at_qinv",
     "verify_hyp_identity",
     "hyp_failures",
-    "chebyshev_expand",
 ]
 
 
@@ -58,9 +51,10 @@ class Boundary(str, Enum):
 class QPolynomial:
     """Q_n for one boundary condition, held as its e-values.
 
-    The coefficient of w^{n-l} in Q_n(w) is (-1)^l e_l.  For the
-    reflecting boundary the variable is wt = w + 1/w and the e-values are
-    elementary symmetric functions of wt_1..wt_n.
+    The coefficient of w^{n-l} in Q_n(w) is (-1)^l e_l, and coeffs lists
+    them lowest degree first.  For the reflecting boundary the variable is
+    wt = w + 1/w and the e-values are elementary symmetric functions of
+    wt_1..wt_n.
     """
 
     boundary: Boundary
@@ -75,13 +69,11 @@ class QPolynomial:
         if self.boundary is Boundary.PERIODIC and self.evalues[self.n] != 1:
             raise ValueError("periodic e_n must be 1 (Q_n(0) = (-1)^n)")
 
-    def poly(self) -> Poly:
-        """Monic polynomial, coefficients lowest degree first."""
+    @property
+    def coeffs(self) -> list:
+        """The monic coefficients of Q_n as Fractions, lowest degree first."""
         n = self.n
-        coeffs = [Fraction(0)] * (n + 1)
-        for l, e in enumerate(self.evalues):
-            coeffs[n - l] = (-1) ** l * e
-        return Poly(coeffs)
+        return [Fraction((-1) ** (n - i) * self.evalues[n - i]) for i in range(n + 1)]
 
 
 def _falling3(t: int, m: int) -> list:
@@ -131,31 +123,58 @@ def _rational_form(boundary: Boundary, n: int):
     return [(a // d, j) for a, j in terms], base, power, c // d
 
 
+def _chebyshev_sum(weights: list) -> list:
+    """sum_m weights[m] U_m(x) as int coefficients, lowest degree first,
+    where U_0 = 1, U_1 = x and U_(m+1) = x U_m - U_(m-1), so that
+    U_m(w + 1/w) = (w^(m+1) - w^-(m+1)) / (w - 1/w).  Clenshaw's recurrence
+    b_m = weights[m] + x b_(m+1) - b_(m+2) ends at the sum b_0."""
+    b1, b2 = [], []
+    for wm in reversed(weights):
+        b = [wm, *b1]
+        for i, v in enumerate(b2):
+            b[i] -= v
+        b1, b2 = b, b1
+    return b1
+
+
 def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
     """Q_n as the exact quotient of its closed rational form.
 
-    The int numerator (weights over 3^N N!, reduced by their gcd) is
-    divided in ints by the monic (base + x)^power, x = w or wt; each e-value
-    is one Fraction of a quotient coefficient over c.  A remainder raises
-    ExactDivisionError, and so does a quotient that is not c times a monic
-    of degree n, so a wrong term cannot return a wrong polynomial.
+    The int numerator (weights over 3^N N!, reduced by their gcd; for the
+    reflecting boundary a Chebyshev sum in wt) is divided in place by
+    (base + x), x = w or wt, power times by synthetic division; each
+    e-value is one Fraction of a quotient coefficient over c.  A remainder
+    raises ExactDivisionError, and so does a quotient that is not c times a
+    monic of degree n, so a wrong term cannot return a wrong polynomial.
     """
     terms, base, power, c = _rational_form(boundary, n)
-    num = [0] * (max(abs(j) for _, j in terms) + 1)
-    for a, j in terms:
-        if boundary is Boundary.REFLECTING:
-            # (w^j - w^-j) / (w - 1/w) is odd in j and a polynomial in wt
-            for i, u in enumerate(chebyshev_expand(abs(j) - 1).coeffs):
-                num[i] += a * u if j > 0 else -a * u
-        else:
+    if boundary is Boundary.REFLECTING:
+        # (w^j - w^-j) / (w - 1/w) is odd in j and equals U_(|j|-1)(wt)
+        weights = [0] * max(abs(j) for _, j in terms)
+        for a, j in terms:
+            weights[abs(j) - 1] += a if j > 0 else -a
+        num = _chebyshev_sum(weights)
+    else:
+        num = [0] * (max(j for _, j in terms) + 1)
+        for a, j in terms:
             num[j] += a
-    den = Poly([math.comb(power, i) * base ** (power - i) for i in range(power + 1)])
-    quot = poly_div_exact(Poly(num), den)
-    if quot.degree != n or quot[n] != c:
+    for factor in range(1, power + 1):
+        r = 0
+        for i in range(len(num) - 1, -1, -1):
+            r = num[i] = num[i] - base * r
+        if r:
+            raise ExactDivisionError(
+                f"{boundary.value} Q_{n} rational form: nonzero remainder"
+                f" at factor {factor} of ({base} + x)^{power}"
+            )
+        del num[0]
+    while num and num[-1] == 0:  # the twisted numerator's top weight is 0
+        num.pop()
+    if len(num) != n + 1 or num[n] != c:
         raise ExactDivisionError(
             f"{boundary.value} Q_{n} rational form: quotient is not monic of degree {n}"
         )
-    evalues = tuple(Fraction((-1) ** l * quot[n - l], c) for l in range(n + 1))
+    evalues = tuple(Fraction((-1) ** l * num[n - l], c) for l in range(n + 1))
     return QPolynomial(boundary, n, evalues)
 
 
@@ -189,6 +208,15 @@ def elem_for(boundary: Boundary, n: int) -> QPolynomial:
     return elem_reflecting(n)
 
 
+def _convolve(p: list, q: list) -> list:
+    """The product of two int coefficient lists, lowest degree first."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
 def check_recursion_periodic(n: int) -> bool:
     """Exact polynomial identity
     (w+1)^2 (3n+2) Q_{n+1} = 3 (w^3-1)(2n+1) Q_n - (w^2-w+1)^2 (3n+1) Q_{n-1}
@@ -196,13 +224,14 @@ def check_recursion_periodic(n: int) -> bool:
     each scaled to ints by the lcm of all their coefficient denominators."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    qs = [elem_periodic(m).poly().coeffs for m in (n - 1, n, n + 1)]
+    qs = [elem_periodic(m).coeffs for m in (n - 1, n, n + 1)]
     d = math.lcm(*(c.denominator for q in qs for c in q))
-    qm, qn, qp = (Poly([c.numerator * (d // c.denominator) for c in q]) for q in qs)
-    # (w+1)^2, w^3-1 and (w^2-w+1)^2, lowest degree first
-    lhs = Poly([1, 2, 1]) * qp.scale(3 * n + 2)
-    rhs = (Poly([-1, 0, 0, 1]) * qn.scale(3 * (2 * n + 1))
-           - Poly([1, -2, 3, -2, 1]) * qm.scale(3 * n + 1))
+    qm, qn, qp = ([c.numerator * (d // c.denominator) for c in q] for q in qs)
+    # (w+1)^2, w^3-1 and (w^2-w+1)^2, lowest degree first; all three
+    # products have degree n + 3
+    lhs = _convolve([(3 * n + 2) * c for c in (1, 2, 1)], qp)
+    rhs = [x - y for x, y in zip(_convolve([3 * (2 * n + 1) * c for c in (-1, 0, 0, 1)], qn),
+                                  _convolve([(3 * n + 1) * c for c in (1, -2, 3, -2, 1)], qm))]
     return lhs == rhs
 
 
@@ -219,28 +248,22 @@ def q_at_qinv(qp: QPolynomial) -> Cyclo:
 def _hyp_sides(which: int, n: int):
     """The lower index and the two sides of a hypergeometric identity at
     fixed n.  Each side is a list of (top, weight) pairs for the int sum
-    of int_binom(top + s, bottom) * weight; the weights, binomial products
-    scaled by the lcm of their denominators, do not depend on s."""
-    B = falling_binom
-    third = Fraction(1, 3)
-    ps = range(n + 1)
-    if which == 1:
-        bot, lhs, rhs = 2 * n, [
-            (3 * p - n, B(n - third, p) * B(n + third, n - p)) for p in ps
-        ], [
-            (3 * p - n - 1, B(n - third, n - p) * B(n + third, p)) for p in ps
-        ]
-    elif which == 2:
-        bot, lhs, rhs = 2 * n - 1, [
-            (3 * p - n, B(n - third, p) * B(n - 2 * third, n - p)) for p in ps
-        ], [
-            (3 * p - n + 2, B(n - third, n - p - 1) * B(n - 2 * third, p)) for p in ps
-        ]
-    else:
+    of int_binom(top + s, bottom) * weight; the weights, products of two
+    binom(n + t/3, k), are cleared over 3^n n! as in _rational_form and do
+    not depend on s."""
+    if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    d = math.lcm(*(w.denominator for _, w in lhs + rhs))
-    return bot, *([(top, w.numerator * (d // w.denominator)) for top, w in side]
-                  for side in (lhs, rhs))
+    # binom(n - 1/3, k) and binom(n + 1/3, k) or binom(n - 2/3, k), times 3^k k!
+    f = _falling3(3 * n - 1, n)
+    g = _falling3(3 * n + 1 if which == 1 else 3 * n - 2, n)
+    ps = range(n + 1)
+    lhs = [(3 * p - n, math.comb(n, p) * f[p] * g[n - p]) for p in ps]
+    if which == 1:
+        return 2 * n, lhs, [(3 * p - n - 1, math.comb(n, p) * f[n - p] * g[p]) for p in ps]
+    # binom(n - 1/3, n - p - 1) carries a factor 3 (n - p), so it is 0 at p = n
+    return 2 * n - 1, lhs, [
+        (3 * p - n + 2, 3 * (n - p) * math.comb(n, p) * f[n - p - 1] * g[p]) for p in ps
+    ]
 
 
 def _hyp_holds(sides, s: int) -> bool:
@@ -263,8 +286,8 @@ def verify_hyp_identity(which: int, n: int, s: int) -> bool:
 
     Binomials are generalized, so negative integer tops stay nonzero;
     identity 1 then holds for all 0 <= s <= 3n (the truncating gen_binom
-    fails it for s <= n).  Both sides are int sums, the weights scaled by
-    the lcm of their denominators.
+    fails it for s <= n).  Both sides are int sums, the weights cleared
+    over 3^n n!.
     """
     return _hyp_holds(_hyp_sides(which, n), s)
 
@@ -277,14 +300,3 @@ def hyp_failures(which: int, max_n: int):
         sides = _hyp_sides(which, n)
         failures.extend((n, s) for s in range(3 * n + 1) if not _hyp_holds(sides, s))
     return failures
-
-
-def chebyshev_expand(n: int) -> Poly:
-    """Polynomial in wt with sum_p (-1)^p binom(n-p, p) wt^{n-2p}; at
-    wt = w + 1/w it equals (w^{n+1} - w^{-n-1}) / (w - 1/w)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    coeffs = [0] * (n + 1)
-    for p in range(n // 2 + 1):
-        coeffs[n - 2 * p] = (-1) ** p * math.comb(n - p, p)
-    return Poly(coeffs)

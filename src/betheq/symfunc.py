@@ -49,9 +49,9 @@ class SymTable:
     number of variables.
 
     e_0 = 1 always; e_k = 0 for k > nvars and for negative k (the usual
-    convention in the determinantal identities).  A table that lacks any
-    of e_0..e_nvars raises ValueError when it is built, so no missing
-    e-value is ever read as 0.
+    convention in the determinantal identities).  A negative nvars, or a
+    table that lacks any of e_0..e_nvars, raises ValueError when it is
+    built, so no missing e-value is ever read as 0.
     """
 
     __slots__ = ("values", "nvars")
@@ -60,6 +60,8 @@ class SymTable:
         values = list(values)
         if not values or values[0] != 1:
             raise ValueError("e-values must start with e_0 = 1")
+        if nvars < 0:
+            raise ValueError(f"nvars must be >= 0, got {nvars}")
         if len(values) < nvars + 1:
             raise ValueError(
                 f"{nvars} variables need e_0..e_{nvars}, got {len(values)} e-values")

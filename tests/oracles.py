@@ -3,7 +3,9 @@
 None of these is on a path the `betheq` CLI or `conjectures.VERIFIERS`
 takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
-its ASM-sum expansion, a second A_n formula, a point evaluator for the
+its ASM-sum expansion, a second A_n formula, dense polynomials with
+long division by a monic divisor and the term-by-term Chebyshev expansion
+in wt, a point evaluator for the
 closed rational form of Q_n, that form and its e-values and the two
 hypergeometric sums in Fraction arithmetic, the special-value check, and the Aberth
 iteration, the coefficient-reconstruction gate, the Bethe residual, the
@@ -36,11 +38,10 @@ from betheq.ed import (
     SpinBasis,
     default_sector,
 )
-from betheq.exact import Cyclo, ExactDivisionError, Poly, falling_binom, poly_div_exact
+from betheq.exact import Cyclo, ExactDivisionError, falling_binom
 from betheq.qfunctions import (
     Boundary,
     _rational_form,
-    chebyshev_expand,
     elem_periodic,
     q_at_qinv,
 )
@@ -445,6 +446,125 @@ def embed(x: Cyclo, prec: int = 53):
         return av + bv * qv
 
 
+# --- exact polynomials ----------------------------------------------------
+
+
+class Poly:
+    """Dense univariate polynomial over an exact commutative ring.
+
+    Coefficients are stored lowest degree first with no trailing zeros.
+    The zero polynomial has degree -1.  Coefficient ring elements must
+    support arithmetic with Python ints.  Division is `poly_div_exact`,
+    by a monic divisor only.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        c = list(coeffs)
+        while c and c[-1] == 0:
+            c.pop()
+        self.coeffs = tuple(c)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, Poly):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __getitem__(self, i: int):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return 0
+
+    def __add__(self, other):
+        other = self._as_poly(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return Poly([self[i] + other[i] for i in range(n)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._as_poly(other))
+
+    def __mul__(self, other):
+        other = self._as_poly(other)
+        if not self or not other:
+            return Poly([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, ci in enumerate(self.coeffs):
+            for j, cj in enumerate(other.coeffs):
+                out[i + j] = out[i + j] + ci * cj
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def _as_poly(x):
+        if isinstance(x, Poly):
+            return x
+        return Poly([x])
+
+    def scale(self, k):
+        return Poly([c * k for c in self.coeffs])
+
+    def __call__(self, x):
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def __repr__(self):
+        return f"Poly({list(self.coeffs)!r})"
+
+
+def poly_div_exact(num: Poly, den: Poly) -> Poly:
+    """Exact quotient by a monic divisor, which keeps int coefficients int;
+    a non-monic divisor raises ValueError and a nonzero remainder raises
+    ExactDivisionError.
+
+    The quotient is verified by re-multiplication, so a remainder signals a
+    transcription bug in whatever formula produced the operands.
+    """
+    if not den or den.coeffs[-1] != 1:
+        raise ValueError(f"divisor {den!r} is not monic")
+    rem = list(num.coeffs)
+    dd = den.degree
+    quot = [0] * max(num.degree - dd + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + dd]
+        if c == 0:
+            continue
+        quot[i] = c
+        for j, dc in enumerate(den.coeffs):
+            rem[i + j] = rem[i + j] - c * dc
+    rem, quot = Poly(rem), Poly(quot)
+    if rem:
+        raise ExactDivisionError(f"nonzero remainder {rem!r} dividing {num!r} by {den!r}")
+    assert den * quot == num
+    return quot
+
+
+def chebyshev_expand(n: int) -> Poly:
+    """Polynomial in wt with sum_p (-1)^p binom(n-p, p) wt^{n-2p}; at
+    wt = w + 1/w it equals (w^{n+1} - w^{-n-1}) / (w - 1/w)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    coeffs = [0] * (n + 1)
+    for p in range(n // 2 + 1):
+        coeffs[n - 2 * p] = (-1) ** p * math.comb(n - p, p)
+    return Poly(coeffs)
+
+
 # --- Q-polynomials ----------------------------------------------------------
 
 
@@ -570,7 +690,7 @@ def check_special_values(n: int) -> bool:
     3^n / (q^{2n} Q_n(1/q))^2 using e_n = 1.
     """
     qp = elem_periodic(n)
-    if qp.poly()(Fraction(0)) != (-1) ** n:
+    if Poly(qp.coeffs)(Fraction(0)) != (-1) ** n:
         return False
     s = q_at_qinv(qp)
     if not s.is_rational or s.a != qinv_product_value(n):

@@ -69,9 +69,8 @@ class TestSolveRoots:
     def test_roots_satisfy_polynomial(self, boundary, n):
         qp = elem_for(boundary, n)
         rs = solve_roots(qp, PREC)
-        poly = qp.poly()
         with mp.workprec(PREC + 32):
-            coeffs = [mp.mpf(c.numerator) / c.denominator for c in poly.coeffs]
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in qp.coeffs]
             targets = rs.wt_roots if boundary is Boundary.REFLECTING else rs.roots
             for r in targets:
                 val = mp.mpc(0)
@@ -117,7 +116,7 @@ class TestAberthStoppingRule:
         # for these roots, so only the rounding-floor rule or a step that
         # rounds to zero can end the iteration.
         qp = elem_for(boundary, n)
-        coeffs = list(qp.poly().coeffs)
+        coeffs = qp.coeffs
         roots, iterations = bethe._aberth(coeffs, bethe._circle(coeffs, 192), 256, 192)
         assert iterations < 64 + 8 * 256 // 16
         rs = solve_roots(qp, 256)
@@ -155,7 +154,7 @@ class TestMpmathOracle:
         qp = elem_for(boundary, n)
         rs = groundstate_roots(boundary, n, 256)
         got = list(rs.wt_roots or rs.roots)
-        coeffs = list(qp.poly().coeffs)
+        coeffs = qp.coeffs
         with mp.workprec(512):
             cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
             rung, _ = bethe._aberth(coeffs, bethe._circle(coeffs, 53), 53, 53)
@@ -322,7 +321,7 @@ class TestStallSizes:
         assert len(values) == n
         with mp.workprec(512):
             tol = mp.mpf(2) ** (20 - 256)
-            assert reconstruct_error_mpmath(list(qp.poly().coeffs), values) <= tol
+            assert reconstruct_error_mpmath(qp.coeffs, values) <= tol
             for got, want in ((mp.fsum(values), qp.evalues[1]),
                               (mp.fprod(values), qp.evalues[n])):
                 want = mp.mpf(want.numerator) / want.denominator

@@ -231,6 +231,13 @@ class TestSchur:
         assert captured.out == ""
         assert "3 variables need e_0..e_3, got 2 e-values" in captured.err
 
+    def test_negative_nvars_is_usage_error(self, capsys):
+        code = run(["schur", "--partition", "2,1", "--evalues", "1,3,3,1", "--nvars", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "nvars must be >= 0, got -1" in captured.err
+
     def test_staircase_from_periodic_evalues(self, capsys):
         code, out = run_capture(
             capsys,

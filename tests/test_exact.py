@@ -10,15 +10,13 @@ from mpmath import mp
 from betheq.exact import (
     Cyclo,
     ExactDivisionError,
-    Poly,
     QINV,
     falling_binom,
     gen_binom,
     int_binom,
-    poly_div_exact,
     rat_to_str,
 )
-from oracles import Q, embed
+from oracles import Poly, Q, embed, poly_div_exact
 
 
 class TestBinomials:

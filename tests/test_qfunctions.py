@@ -2,17 +2,17 @@
 values and the binomial summation identities."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from betheq import qfunctions
-from betheq.exact import ExactDivisionError, Poly, QINV, falling_binom, gen_binom
+from betheq.exact import ExactDivisionError, QINV, falling_binom, gen_binom
 from betheq.qfunctions import (
     Boundary,
     QPolynomial,
     check_recursion_periodic,
-    chebyshev_expand,
     elem_for,
     elem_periodic,
     elem_reflecting,
@@ -22,10 +22,13 @@ from betheq.qfunctions import (
     verify_hyp_identity,
 )
 from oracles import (
+    Poly,
     Q,
     check_special_values,
+    chebyshev_expand,
     evalues_fraction,
     hyp_failures_fraction,
+    hyp_sides_fraction,
     q_rational_eval,
     qinv_product_value,
     rational_form_fraction,
@@ -142,6 +145,23 @@ class TestEValues:
         with pytest.raises(ExactDivisionError, match="not monic"):
             elem_periodic(3)
 
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_extra_factor_raises(self, boundary, monkeypatch):
+        # Q_n(-base) != 0, so one factor of (base + x) too many leaves a
+        # remainder at that factor
+        form = qfunctions._rational_form
+        powers = []
+
+        def one_more(b, n):
+            terms, base, power, c = form(b, n)
+            powers.append(power)
+            return terms, base, power + 1, c
+
+        monkeypatch.setattr(qfunctions, "_rational_form", one_more)
+        with pytest.raises(ExactDivisionError, match="remainder") as info:
+            elem_for(boundary, 3)
+        assert f"at factor {powers[0] + 1} of" in str(info.value)
+
     def test_periodic_n0_and_n1(self):
         assert elem_periodic(0).evalues == (1,)
         assert elem_periodic(1).evalues == (1, 1)
@@ -203,14 +223,14 @@ class TestRationalFormAgreement:
         qp = elem_periodic(n)
         pts = [Fraction(k) for k in range(2, n + 4)]
         got = interpolate([(w, q_rational_eval(Boundary.PERIODIC, n, w)) for w in pts])
-        assert got == qp.poly()
+        assert got == Poly(qp.coeffs)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_twisted(self, n):
         qp = elem_twisted(n)
         pts = [Fraction(k) for k in range(2, n + 4)]
         got = interpolate([(w, q_rational_eval(Boundary.TWISTED, n, w)) for w in pts])
-        assert got == qp.poly()
+        assert got == Poly(qp.coeffs)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_reflecting(self, n):
@@ -221,7 +241,7 @@ class TestRationalFormAgreement:
         samples = [
             (w + 1 / w, q_rational_eval(Boundary.REFLECTING, n, w)) for w in pts
         ]
-        assert interpolate(samples) == qp.poly()
+        assert interpolate(samples) == Poly(qp.coeffs)
 
     def test_int_point_stays_exact(self):
         got = q_rational_eval(Boundary.REFLECTING, 2, 2)
@@ -273,7 +293,7 @@ class TestSpecialValues:
         # reference: Horner's rule for Q_n at 1/q, times q^{2n}
         for n in range(1, 13):
             qp = elem_for(boundary, n)
-            assert q_at_qinv(qp) == Q ** (2 * n) * qp.poly()(QINV)
+            assert q_at_qinv(qp) == Q ** (2 * n) * Poly(qp.coeffs)(QINV)
 
     def test_qinv_product_small(self):
         assert qinv_product_value(1) == Fraction(1)
@@ -369,6 +389,19 @@ class TestHypIdentities:
         assert hyp_failures(which, 8) == expect
 
     @pytest.mark.parametrize("which", [1, 2])
+    def test_sides_proportional_to_fraction_oracle(self, which):
+        # one common ratio over both sides, so the int sums agree exactly
+        # when the Fraction sums do; a zero weight must stay zero
+        for n in range(21):
+            bot, lhs, rhs = qfunctions._hyp_sides(which, n)
+            fbot, flhs, frhs = hyp_sides_fraction(which, n)
+            assert bot == fbot, n
+            pairs = list(zip(lhs + rhs, flhs + frhs))
+            assert [top for (top, _), _ in pairs] == [top for _, (top, _) in pairs], n
+            assert [w == 0 for (_, w), _ in pairs] == [f == 0 for _, (_, f) in pairs], n
+            assert len({w / f for (_, w), (_, f) in pairs if f}) == 1, n
+
+    @pytest.mark.parametrize("which", [1, 2])
     def test_matches_fraction_oracle(self, which):
         assert hyp_failures(which, 14) == hyp_failures_fraction(which, 14) == []
 
@@ -422,6 +455,19 @@ class TestChebyshev:
             wt = w + 1 / w
             expect = (w ** (n + 1) - w ** -(n + 1)) / (w - 1 / w)
             assert p(wt) == expect
+
+    def test_clenshaw_sum_of_unit_weights(self):
+        for m in range(41):
+            assert Poly(qfunctions._chebyshev_sum([0] * m + [1])) == chebyshev_expand(m), m
+
+    def test_clenshaw_sum_of_random_weights(self):
+        rng = random.Random(20)
+        weights = [rng.randint(-10**30, 10**30) for _ in range(91)]
+        expect = Poly([])
+        for m, w in enumerate(weights):
+            expect = expect + chebyshev_expand(m).scale(w)
+        got = qfunctions._chebyshev_sum(weights)
+        assert all(type(c) is int for c in got) and Poly(got) == expect
 
     def test_q_powers(self):
         # q + 1/q = 1, so the expansion links to Q(q) evaluations

@@ -168,3 +168,7 @@ class TestSymTable:
     def test_v0_must_be_one(self):
         with pytest.raises(ValueError):
             SymTable([2, 1], 1)
+
+    def test_negative_nvars_raises(self):
+        with pytest.raises(ValueError, match="nvars must be >= 0, got -1"):
+            SymTable([1, 3, 3, 1], -1)
