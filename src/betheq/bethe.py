@@ -1,30 +1,28 @@
 """Arbitrary-precision Bethe-root extraction and certification.
 
-Roots of the exact Q-polynomials are found by Aberth-Ehrlich simultaneous
-iteration at a stated binary precision and certified three ways:
-coefficient reconstruction, Bethe-equation residuals, and (downstream)
-comparison against exact diagonalization.  All tolerances are relative to
-the working precision.
-
-One Aberth kernel runs on a precision ladder (Bini, Numer. Algorithms 13,
-1996; Bini and Robol, J. Comput. Appl. Math. 272, 2014), in Gaussian
-fixed point on Python ints: a value is an (re, im) int pair times
-2^-scale.  A pass at scale 53 walks in from a circle, passes at twice
-the precision refine its roots, and the full pass at the working scale
-of solve_roots polishes them; each ends at its rounding floor.  The
-reconstruction gate rebuilds the polynomial on the same ints.  Every
-value read off the roots (residual, energy, ordered sums and the
-reflecting product) runs on Gaussian block floats of Python ints,
-(re, im, e) for (re + i im) 2^e, from one int form of the roots, q and
-z = (q - w)/(q w - 1) (_fixed_roots), and states its rounding bound.
-mpmath runs only at the module's edges: the start circle, the stall
-report, the reflecting split and the conversion of results.
+Every groundstate Q_n has n simple real roots: the quasi-momenta
+z = (q - w)/(q w - 1) lie on the unit circle, and w = (q + z)/(q z + 1)
+maps that circle onto the real line.  So the roots are found on the real
+line, by one Aberth-Ehrlich kernel in fixed point on Python ints (a value
+is an int times 2^-scale) run on a precision ladder (Bini, Numer.
+Algorithms 13, 1996; Bini and Robol, J. Comput. Appl. Math. 272, 2014):
+float starts on the groundstate arc, passes at doubling precision, and a
+full pass at the working scale of solve_roots.  Exact int signs of the
+polynomial certify the result: a sign change across each root's
+enclosure proves n simple real roots, one in each enclosure.  They are
+checked again by the Bethe-equation residual and (downstream) by exact
+diagonalization.  Every value read off the roots (residual, energy,
+ordered sums and the reflecting product) runs on Gaussian block floats of
+Python ints, (re, im, e) for (re + i im) 2^e, from one int form of the
+roots, q and z (_fixed_roots), and states its rounding bound.  mpmath
+runs only at the module's edges: the stall report and the conversion of
+results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import factorial, isqrt
 from numbers import Integral
 
@@ -44,15 +42,21 @@ GUARD_BITS = 64
 MIN_PRECISION = 64
 # the working precision of solve_roots, the numeric verifiers and the CLI
 DEFAULT_PRECISION = 256
+# full passes after the first that may double the precision before a
+# root the signs do not certify raises
+MAX_DOUBLINGS = 3
 
 
 class NonConvergenceError(ArithmeticError):
     """Root iteration failed to converge.
 
-    Carries the polynomial degree, the requested precision (bits), the
-    Aberth iterations run and the failing correction: the worst relative
-    step when the iteration cap is hit, or the coefficient reconstruction
-    error when the roots fail that check.
+    Carries the polynomial degree, the working precision (bits) of the
+    failing step, the Aberth iterations of its pass and a correction.  An
+    Aberth pass that hits its iteration cap reports its own precision and
+    the worst relative step; one whose step has a zero denominator reports
+    an infinite correction.  When the signs still leave roots uncertified
+    after the last doubling, the error carries the requested precision and
+    the correction is the number of roots they did not certify.
     """
 
     def __init__(self, message, *, degree, precision, iterations, correction):
@@ -67,12 +71,15 @@ class NonConvergenceError(ArithmeticError):
 class RootSet:
     """Certified numeric roots of one Q-polynomial.
 
+    The roots are real and ascending (held as mpc with imaginary part 0).
     For the reflecting boundary, wt_roots holds the n roots in the
     wt = w + 1/w variable and roots holds the 2n split values with
-    roots[i + n] = 1/roots[i] exactly by construction.  iterations counts
-    the iterations of the full Aberth pass and reconstruction_error is the
-    max relative coefficient error of the polynomial rebuilt from the
-    roots (wt_roots for reflecting).
+    roots[i + n] = 1/roots[i] exactly by construction.  Before rounding,
+    each root (each wt for reflecting) was within 2^(20 - precision) of
+    one simple root of Q, relative, a different one for each;
+    certified_scale is the fixed-point scale of the Aberth pass whose
+    roots the signs certified, and iterations counts that pass's
+    iterations.
     """
 
     boundary: Boundary
@@ -83,7 +90,7 @@ class RootSet:
     wt_roots: tuple | None
     residual: object
     iterations: int
-    reconstruction_error: object
+    certified_scale: int
 
     @property
     def bethe_roots(self):
@@ -92,92 +99,79 @@ class RootSet:
         return self.roots[: self.n]
 
 
-def _circle(coeffs, scale: int):
-    """Aberth's start: n points on the circle of radius max(1, max|c_k|)^(1/n)
-    (coefficients lowest degree first), as (re, im) ints at the given scale."""
-    n = len(coeffs) - 1
-    with mp.workprec(64):
-        radius = max(mp.mpf(1), *(abs(mp.mpf(c.numerator) / c.denominator) for c in coeffs))
-        radius **= mp.mpf(1) / n
-        points = [
-            radius * mp.expjpi(mp.mpf(2 * j) / n + mp.mpf(1) / (2 * n) + mp.mpf(j) / (7 * n * n))
-            for j in range(n)
-        ]
-        return [(int(mp.ldexp(z.real, scale)), int(mp.ldexp(z.imag, scale))) for z in points]
+def _starts(boundary: Boundary, n: int):
+    """Aberth's start: the images w(t) = cos((t - pi/3)/2) / cos((t + pi/3)/2)
+    of z = e^(it) for n angles t spread evenly over the groundstate arc,
+    (-2 pi/3, 2 pi/3) for closed chains and (0, 2 pi/3) for the reflecting
+    chain, there as wt = w + 1/w; floats, as ints at scale 53."""
+    lo = 0.0 if boundary is Boundary.REFLECTING else -2 * math.pi / 3
+    starts = []
+    for j in range(n):
+        t = lo + (2 * math.pi / 3 - lo) * (j + 0.5) / n
+        w = math.cos((t - math.pi / 3) / 2) / math.cos((t + math.pi / 3) / 2)
+        starts.append(int(math.ldexp(w + 1 / w if boundary is Boundary.REFLECTING else w, 53)))
+    return starts
 
 
 def _aberth(coeffs, roots, prec: int, scale: int):
     """All roots of a monic polynomial with exact coefficients (lowest
-    degree first) by Aberth-Ehrlich iteration from the start roots, in
-    Gaussian fixed point: a value is an (re, im) pair of Python ints
-    times 2^-scale, and one ulp is 2^-scale.
+    degree first), all of them real, by Aberth-Ehrlich iteration from real
+    start roots in fixed point: a value is a Python int times 2^-scale, and
+    one ulp is 2^-scale.
 
-    Returns the roots as int pairs and the number of iterations.  Each
-    coefficient is rounded down to the scale once.  Horner's rule gives
-    p(x_i), p'(x_i) and S(x_i) = sum_{k<=n} |x_i|^k in one loop, each
-    product rounded down by a shift; the step is
-    p / (p' - p sum_{j != i} 1/(x_i - x_j)), rounded to the nearest ulp.
-    Root i stops moving once that step is at most 2^(4 - prec) |x_i|, or
-    once |p(x_i)| <= 3 S(x_i) ulp.  That is the rounding floor: each
-    shift is off by less than one ulp in each part (sqrt 2 in modulus)
-    and each coefficient by less than one, so the computed p(x) differs
-    from the exact one by less than (1 + sqrt 2) sum_{k<n} |x|^k ulp.
-    A stopped root still enters the Aberth sum of the others; the
-    iteration ends when every root has stopped.  Only the report of a
-    stall at the cap converts to mpmath.
+    Returns the roots and the number of iterations.  Each coefficient is
+    rounded down to the scale once.  Horner's rule gives p(x_i), p'(x_i)
+    and S(x_i) = sum_{k<=n} |x_i|^k in one loop, each product rounded down
+    by a shift; the step is p / (p' - p sum_{j != i} 1/(x_i - x_j)),
+    rounded to the nearest ulp.  Root i stops moving once that step is at
+    most 2^(4 - prec) |x_i|, or once |p(x_i)| <= 3 S(x_i) ulp.  That is the
+    rounding floor: each shift is off by less than one ulp and each
+    coefficient by less than one, so the computed p(x) differs from the
+    exact one by less than 2 sum_{k<n} |x|^k ulp.  A stopped root still
+    enters the Aberth sum of the others; the iteration ends when every root
+    has stopped.  A step with a zero denominator (two equal roots, or
+    p' equal to p times the sum) and the cap of 64 + prec/2 iterations
+    raise NonConvergenceError.
     """
     n = len(coeffs) - 1
     cs = [(c.numerator << scale) // c.denominator for c in reversed(coeffs)]
-    one, lead, scale2 = cs[0], cs[1:], 2 * scale
-    rel = 2 * (prec - 4)
+    one, lead, unit = cs[0], cs[1:], 1 << 2 * scale
+    rel = prec - 4
     roots = list(roots)
     active = range(n)
     cap = 64 + 8 * prec // 16
     for iterations in range(1, cap + 1):
         moving, steps = [], []
         for i in active:
-            xr, xi = roots[i]
-            ax = isqrt(xr * xr + xi * xi) + 1
-            pr, pi, dr, di, bound = one, 0, 0, 0, one
+            x = roots[i]
+            ax = abs(x) + 1
+            p, d, bound = one, 0, one
             for c in lead:
-                dr, di = ((dr * xr - di * xi) >> scale) + pr, ((dr * xi + di * xr) >> scale) + pi
-                pr, pi = ((pr * xr - pi * xi) >> scale) + c, (pr * xi + pi * xr) >> scale
+                d = ((d * x) >> scale) + p
+                p = ((p * x) >> scale) + c
                 bound = ((bound * ax) >> scale) + one
-            noise = (3 * bound >> scale) + 1
-            if pr * pr + pi * pi <= noise * noise:
+            if abs(p) <= (3 * bound >> scale) + 1:
                 continue
-            sr = si = 0  # sum_{j != i} 1/(x_i - x_j)
-            for j, (yr, yi) in enumerate(roots):
-                if j != i:
-                    ar, ai = xr - yr, xi - yi
-                    m = ar * ar + ai * ai
-                    sr += (ar << scale2) // m
-                    si -= (ai << scale2) // m
-            # the step p / (p' - p S), rounded to the nearest ulp
-            er = dr - ((pr * sr - pi * si) >> scale)
-            ei = di - ((pr * si + pi * sr) >> scale)
-            m = er * er + ei * ei
-            if m == 0:
-                nudge = max(1, (one + abs(xr) + abs(xi)) >> (prec - 4))
-                roots[i] = (xr + nudge, xi + nudge)
+            try:
+                s = sum(unit // (x - y) for y in roots[:i] + roots[i + 1:])
+                e = d - ((p * s) >> scale)
+                t = ((p << scale) + (e >> 1)) // e  # the step, to the nearest ulp
+            except ZeroDivisionError:
+                raise NonConvergenceError(
+                    f"Aberth step has a zero denominator for degree {n}",
+                    degree=n, precision=prec, iterations=iterations, correction=mp.inf,
+                ) from None
+            x -= t
+            roots[i] = x
+            if abs(t) << rel > abs(x):
                 moving.append(i)
-                steps.append((1, 0))
-                continue
-            half = m >> 1
-            tr = (((pr * er + pi * ei) << scale) + half) // m
-            ti = (((pi * er - pr * ei) << scale) + half) // m
-            xr, xi = xr - tr, xi - ti
-            roots[i] = (xr, xi)
-            s2, x2 = tr * tr + ti * ti, xr * xr + xi * xi
-            if s2 << rel > x2:
-                moving.append(i)
-                steps.append((s2, x2))
+                steps.append((t, x))
         active = moving
         if not active:
             break
     else:
         with mp.workprec(53):
-            worst = max(mp.sqrt(mp.mpf(s2) / x2) if x2 else mp.inf for s2, x2 in steps)
+            worst = max(mp.fdiv(abs(t), abs(x)) if x else mp.inf for t, x in steps)
         raise NonConvergenceError(
             f"Aberth iteration stalled at correction {mpmath.nstr(worst, 8)} for degree {n}",
             degree=n, precision=prec, iterations=cap, correction=worst,
@@ -185,94 +179,90 @@ def _aberth(coeffs, roots, prec: int, scale: int):
     return roots, iterations
 
 
-def _seed(coeffs, extra: int, scale: int):
-    """Start roots at the given scale for the full pass, from a precision
-    ladder (Bini and Robol 2014): a scale-53 _aberth pass from the circle,
-    then passes from the last one's roots at twice its precision p and at
-    scale 2p + extra, while that stays below the given scale.  A rung that
-    raises (its cap, a zero divisor) or returns coincident roots sends the
-    full pass to the circle at the given scale."""
-    prec, at, roots = 53, 53, _circle(coeffs, 53)
-    while at < scale:
-        try:
-            roots, _ = _aberth(coeffs, roots, prec, at)
-        except ArithmeticError:
-            return _circle(coeffs, scale)
-        if len(set(roots)) < len(roots):
-            return _circle(coeffs, scale)
-        nxt = min(2 * prec + extra, scale)
-        roots, prec, at = [(xr << nxt - at, xi << nxt - at) for xr, xi in roots], 2 * prec, nxt
-    return roots
+def _sign(ints, a: int, s: int) -> int:
+    """The sign of P(a 2^-s) for int coefficients (lowest degree first):
+    that of sum_k c_k a^k 2^(s(n - k)), by Horner's rule on exact ints."""
+    v = 0
+    for k, c in enumerate(reversed(ints)):
+        v = v * a + (c << s * k)
+    return (v > 0) - (v < 0)
 
 
-def _reconstruct_error(coeffs, roots, scale: int):
-    """Max relative coefficient error |r_k - c_k| / max(1, |c_k|) of
-    r(w) = prod (w - x_i), for roots given as (re, im) int pairs at the
-    scale, against the exact coefficients c_k (lowest degree first); an
-    mpf at the working precision.  r is rebuilt in the same fixed point,
-    each x_m r_k rounded down by a shift (below sqrt 2 ulp), and a later
-    factor w - x_j grows the sum of an error's moduli by at most 1 + |x_j|:
-    every r_k is within n (n + 1) / sqrt 2 prod (1 + |x_i|) ulp of the
-    exact product of the given roots.  Only the worst exact squared ratio
-    converts to mpmath."""
-    re, im = [1 << scale], [0]
-    for xr, xi in roots:
-        ur, ui = [*re, 0], [*im, 0]
-        re = [p - ((xr * a - xi * b) >> scale) for p, a, b in zip([0, *re], ur, ui)]
-        im = [p - ((xr * b + xi * a) >> scale) for p, a, b in zip([0, *im], ur, ui)]
-    # |r_k - c_k|^2 / max(1, |c_k|)^2 with r_k = (xr + i xi) 2^-scale and c_k = a / b
-    worst = max(
-        Fraction((xr * b - (a << scale)) ** 2 + (xi * b) ** 2, max(abs(a), b) ** 2 << 2 * scale)
-        for (a, b), xr, xi in zip((c.as_integer_ratio() for c in coeffs), re, im))
-    return mp.sqrt(mp.mpf(worst.numerator) / worst.denominator)
+def _uncertified(ints, roots, scale: int, precision: int) -> int:
+    """How many of the ascending int roots at the scale the signs of P (int
+    coefficients, lowest degree first) do not certify.
+
+    Root x is certified when P changes sign between x - d and x + d,
+    d = 2^(20 - precision) |x|, and that interval lies above the last
+    root's.  Each end is moved in towards x onto the grid of 2^k ulp,
+    2^k <= d/16, so the ints _sign multiplies stay short.  n disjoint
+    intervals with a sign change each hold n roots of P by the intermediate
+    value theorem, so at degree n each holds one simple root and P has no
+    other."""
+    uncertified, last = 0, None
+    for x in roots:
+        d = abs(x) >> (precision - 20)
+        k = max(0, min(scale, d.bit_length() - 5))
+        lo, hi = -(-(x - d) >> k), (x + d) >> k
+        if ((last is not None and lo << k <= last)
+                or _sign(ints, lo, scale - k) * _sign(ints, hi, scale - k) >= 0):
+            uncertified += 1
+        last = hi << k
+    return uncertified
 
 
 def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
-    """Find all roots of a Q-polynomial at the given precision (bits).
+    """Find and certify all roots of a groundstate Q-polynomial at the
+    given precision (bits); all of them must be real.
 
-    A precision ladder (see _seed) seeds the full _aberth pass at scale
-    precision + GUARD_BITS + ceil(log2 max|c_k|), so that rounding in the
-    large coefficients does not eat into the reconstruction bound.  That
-    pass only polishes and stops on 2^(4-precision) relative steps or on
-    its rounding floor (see _aberth).  The polynomial rebuilt from its int
-    roots (see _reconstruct_error) must match the exact coefficients to
-    2^(20-precision) relative, else NonConvergenceError.  The returned
-    roots are rounded to precision + GUARD_BITS.
-    For the reflecting boundary the wt-roots are split through
-    w^2 - wt*w + 1 = 0, keeping the branch with |w| >= 1 (tie: positive
-    imaginary part); the mirror branch is stored as the exact reciprocal.
+    With extra = ceil(log2 max|c_k|), the ladder runs _aberth from the arc
+    starts (_starts) at precision p = 53, 106, ... and scale p + extra
+    while p < precision + GUARD_BITS, then the full pass at precision and
+    scale precision + GUARD_BITS + extra, each pass from the last one's
+    roots.  The full pass only polishes.  The signs of Q cleared of
+    denominators (_uncertified) must then put one root of Q within
+    2^(20 - precision) of each root, relative, and a different one for
+    each.  While some root fails, one more full pass runs at twice the
+    last one's precision, at most MAX_DOUBLINGS times; after that, or when
+    a pass stalls, NonConvergenceError.  The returned roots are rounded to
+    precision + GUARD_BITS.  For the reflecting boundary each wt-root is
+    split through w^2 - wt w + 1 = 0 in ints, w = (wt + isqrt(wt^2 - 4))/2,
+    keeping the branch w >= 1; the mirror branch is stored as the exact
+    reciprocal.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     n = qp.n
     coeffs = qp.coeffs
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     top = max(abs(c) for c in coeffs)
     extra = (-(-top.numerator // top.denominator) - 1).bit_length()  # ceil(log2 top), top >= 1
-    scale = precision + GUARD_BITS + extra
-    fixed, iterations = (_aberth(coeffs, _seed(coeffs, extra, scale), precision, scale)
-                         if n > 0 else ([], 0))
-    with mp.workprec(scale):
-        err = _reconstruct_error(coeffs, fixed, scale)
-        tol = mp.mpf(2) ** (20 - precision)
-        if err > tol:
-            raise NonConvergenceError(
-                f"coefficient reconstruction error {mpmath.nstr(err, 8)}"
-                f" exceeds {mpmath.nstr(tol, 8)}",
-                degree=n, precision=precision, iterations=iterations, correction=err,
-            )
-        roots = [mp.mpc(mp.mpf((xr, -scale)), mp.mpf((xi, -scale))) for xr, xi in fixed]
-        wt = None
-        if qp.boundary is Boundary.REFLECTING:
-            wt, roots = roots, []
-            for t in wt:
-                disc = mp.sqrt(t * t - 4)
-                cands = [(t + disc) / 2, (t - disc) / 2]
-                cands.sort(key=lambda w: (abs(w), mp.im(w)), reverse=True)
-                roots.append(cands[0])
+    roots, at, prec = _starts(qp.boundary, n), 53, 53
+    while prec < precision + GUARD_BITS:
+        roots, _ = _aberth(coeffs, [x << prec + extra - at for x in roots], prec, prec + extra)
+        prec, at = 2 * prec, prec + extra
+    for prec in (precision << k for k in range(MAX_DOUBLINGS + 1)):
+        scale = prec + GUARD_BITS + extra
+        roots, iterations = _aberth(coeffs, [x << scale - at for x in roots], prec, scale)
+        roots.sort()
+        at = scale
+        uncertified = _uncertified(ints, roots, scale, precision)
+        if not uncertified:
+            break
+    else:
+        raise NonConvergenceError(
+            f"signs certify {n - uncertified} of {n} roots to 2^{20 - precision}"
+            f" relative at scale {scale}",
+            degree=n, precision=precision, iterations=iterations, correction=uncertified,
+        )
+    wt = None
+    if qp.boundary is Boundary.REFLECTING:
+        wt, roots = roots, [(t + isqrt(t * t - (4 << 2 * scale))) >> 1 for t in roots]
     with mp.workprec(precision + GUARD_BITS):
-        roots = tuple(+w for w in roots)
+        roots = tuple(mp.mpc(mp.mpf((x, -scale))) for x in roots)
         if wt is not None:
-            wt = tuple(+t for t in wt)
+            wt = tuple(mp.mpc(mp.mpf((t, -scale))) for t in wt)
             roots += tuple(1 / w for w in roots)
         rs = RootSet(
             boundary=qp.boundary,
@@ -283,7 +273,7 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
             wt_roots=wt,
             residual=None,
             iterations=iterations,
-            reconstruction_error=err,
+            certified_scale=scale,
         )
         return replace(rs, residual=bethe_residual(rs))
 

@@ -158,7 +158,7 @@ def _cmd_roots(args) -> int:
             "roots": [dict(_mp_str(w), precision=rs.precision) for w in rs.roots],
             "residual": mpmath.nstr(rs.residual, 8),
             "iterations": rs.iterations,
-            "reconstruction_error": mpmath.nstr(rs.reconstruction_error, 8),
+            "certified_scale": rs.certified_scale,
         }
     _emit(payload, args.format)
     return EXIT_OK

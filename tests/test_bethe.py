@@ -1,12 +1,15 @@
 """High-precision root extraction, certification and root-based sums."""
 
+import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import comb
 
+import mpmath
 import pytest
 from mpmath import mp
 
@@ -104,9 +107,14 @@ class TestSolveRoots:
         assert abs(rs.roots[0] - 1) < TOL
 
 
-def _mpc(root, scale):
-    """An (re, im) int pair at the given scale as an mpc."""
-    return mp.mpc(mp.mpf((root[0], -scale)), mp.mpf((root[1], -scale)))
+def _mpf(root, scale):
+    """An int at the given scale as an mpf."""
+    return mp.mpf((root, -scale))
+
+
+def _starts(qp, scale):
+    """The arc starts of solve_roots for qp, shifted to the given scale."""
+    return [x << scale - 53 for x in bethe._starts(qp.boundary, qp.n)]
 
 
 class TestAberthStoppingRule:
@@ -116,37 +124,36 @@ class TestAberthStoppingRule:
         # for these roots, so only the rounding-floor rule or a step that
         # rounds to zero can end the iteration.
         qp = elem_for(boundary, n)
-        coeffs = qp.coeffs
-        roots, iterations = bethe._aberth(coeffs, bethe._circle(coeffs, 192), 256, 192)
+        roots, iterations = bethe._aberth(qp.coeffs, _starts(qp, 192), 256, 192)
         assert iterations < 64 + 8 * 256 // 16
         rs = solve_roots(qp, 256)
         want = rs.wt_roots or rs.roots
         with mp.workprec(256):
             for r in roots:
-                assert min(abs(_mpc(r, 192) - w) for w in want) < mp.mpf(2) ** -170
+                assert min(abs(_mpf(r, 192) - w) for w in want) < mp.mpf(2) ** -170
 
-    def test_zero_step_denominator_nudges_the_root(self):
-        # w^3 + 1 from (0, 1, -1): p'(0) = 0 and the Aberth sum at 0 is 0,
-        # so the step p / (p' - p S) at the first root has no denominator
+    @pytest.mark.parametrize("roots", [(0, 1, -1), (0, 1, 1)], ids=["p-prime-is-p-sum", "equal-roots"])
+    def test_zero_step_denominator_raises(self, roots):
+        # w^3 + 1 from (0, 1, -1): p'(0) = 0 and the Aberth sum at 0 is 0, so
+        # the step p / (p' - p S) at the first root has no denominator; from
+        # (0, 1, 1) the sum at root 1 has 1/(1 - 1)
         coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(1)]
-        one = 1 << 53
-        roots, _ = bethe._aberth(coeffs, [(0, 0), (one, 0), (-one, 0)], 53, 53)
-        with mp.workprec(53):
-            for r in roots:
-                assert abs(_mpc(r, 53) ** 3 + 1) < mp.mpf(2) ** -45
+        with pytest.raises(NonConvergenceError) as info:
+            bethe._aberth(coeffs, [x << 53 for x in roots], 53, 53)
+        err = info.value
+        assert "zero denominator" in str(err)
+        assert (err.degree, err.precision, err.iterations, err.correction) == (3, 53, 1, mp.inf)
 
     def test_float_seed_shortens_the_multiprecision_pass(self):
         # from the last rung of the ladder the full pass only polishes: one
-        # step, and one to see that the roots stopped (a single scale-53
-        # seed left 11 and 6)
+        # step, and one to see that the roots stopped
         assert solve_roots(elem_reflecting(24), 256).iterations <= 3
         assert solve_roots(elem_periodic(6), 4096).iterations <= 3
 
 
 class TestMpmathOracle:
     """The fixed-point kernel behind solve_roots against the mpmath Aberth
-    iteration at 512 bits, started from the roots of the ladder's first
-    rung, the scale-53 pass from the circle."""
+    iteration at 512 bits, on the reals, from the same arc starts."""
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     @pytest.mark.parametrize("n", [4, 10, 20])
@@ -154,12 +161,9 @@ class TestMpmathOracle:
         qp = elem_for(boundary, n)
         rs = groundstate_roots(boundary, n, 256)
         got = list(rs.wt_roots or rs.roots)
-        coeffs = qp.coeffs
         with mp.workprec(512):
-            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
-            rung, _ = bethe._aberth(coeffs, bethe._circle(coeffs, 53), 53, 53)
-            start = [_mpc(r, 53) for r in rung]
-            want, _ = aberth_mpmath(cs, start, 256)
+            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(qp.coeffs)]
+            want, _ = aberth_mpmath(cs, [_mpf(x, 53) for x in bethe._starts(boundary, n)], 256)
             for w in want:
                 near = min(got, key=lambda g: abs(g - w))
                 assert abs(near - w) <= mp.mpf(2) ** (20 - 256) * abs(w)
@@ -167,16 +171,12 @@ class TestMpmathOracle:
 
 
 def solve_recording_passes(monkeypatch, qp, precision=256, fail=None):
-    """solve_roots(qp, precision), recording every circle built as
-    (scale, points) and every _aberth pass as (start, prec, scale, roots).
+    """solve_roots(qp, precision), recording every _aberth pass as (start,
+    prec, scale, roots) and every sign certificate as the count it returns.
     fail = (i, result) makes pass i return the roots `result` instead, or
     raise `result` when it is an exception (recorded with roots None)."""
-    circles, passes = [], []
-    circle, aberth = bethe._circle, bethe._aberth
-
-    def spy_circle(coeffs, scale):
-        circles.append((scale, circle(coeffs, scale)))
-        return circles[-1][1]
+    passes, counts = [], []
+    aberth, uncertified = bethe._aberth, bethe._uncertified
 
     def spy_aberth(coeffs, roots, prec, scale):
         start = list(roots)
@@ -185,92 +185,123 @@ def solve_recording_passes(monkeypatch, qp, precision=256, fail=None):
             if isinstance(fail[1], Exception):
                 passes.append((start, prec, scale, None))
                 raise fail[1]
-            roots = fail[1]
-        passes.append((start, prec, scale, roots))
+            roots = list(fail[1])
+        passes.append((start, prec, scale, list(roots)))
         return roots, iterations
 
-    monkeypatch.setattr(bethe, "_circle", spy_circle)
+    def spy_uncertified(*args):
+        counts.append(uncertified(*args))
+        return counts[-1]
+
     monkeypatch.setattr(bethe, "_aberth", spy_aberth)
-    return solve_roots(qp, precision), circles, passes
+    monkeypatch.setattr(bethe, "_uncertified", spy_uncertified)
+    return solve_roots(qp, precision), passes, counts
 
 
 class TestFloatSeed:
-    """The precision ladder only seeds the full pass: its first rung walks
-    in from the circle at scale 53, each later rung starts from the last
-    one's roots at twice the precision, and when a rung fails the full
-    pass starts from the circle and still converges."""
+    """The precision ladder from the float arc starts: its first rung starts
+    there at precision 53, each later pass starts from the last one's roots
+    at twice the precision, a full pass follows, and while the signs leave a
+    root uncertified one more full pass runs at twice its precision.  A
+    failing rung is not caught: its error, or the zero Aberth denominator
+    its coincident roots give the next pass, reaches the caller."""
 
     @staticmethod
-    def assert_ladder(circles, passes, precision):
-        """One circle, at scale 53, starts the first rung; each later pass
-        starts from the last one's roots, shifted to its scale; rungs double
-        the precision at scale precision + extra; the full pass runs at
-        precision + GUARD_BITS + extra, which the next rung would reach."""
-        (start, prec, scale, _), *rungs, full = passes
-        assert circles == [(53, start)] and (prec, scale) == (53, 53)
-        extra = rungs[0][2] - 106
+    def assert_ladder(qp, passes, precision, doublings=0):
+        """The arc starts at scale 53 + extra start the first rung at
+        precision 53; rungs double the precision at scale precision +
+        extra; each pass starts from the last one's roots, shifted to its
+        scale; the full passes run at precision 2^k precision, k = 0 ..
+        doublings, and scale that + GUARD_BITS + extra, the first of them
+        where the next rung would reach its scale."""
+        extra = passes[0][2] - 53
+        assert passes[0][:3] == (_starts(qp, 53 + extra), 53, 53 + extra)
         for before, after in zip(passes, passes[1:]):
             shift = after[2] - before[2]
-            assert shift > 0 and after[0] == [(xr << shift, xi << shift) for xr, xi in before[3]]
-        for before, rung in zip(passes, rungs):
+            assert shift > 0 and sorted(after[0]) == sorted(x << shift for x in before[3])
+        rungs = passes[:len(passes) - doublings - 1]
+        for before, rung in zip(passes, rungs[1:]):
             assert rung[1] == 2 * before[1] and rung[2] == rung[1] + extra
-        assert full[1:3] == (precision, precision + bethe.GUARD_BITS + extra)
-        assert passes[-2][2] < full[2] <= 2 * passes[-2][1] + extra
+        assert 2 * rungs[-1][1] >= precision + bethe.GUARD_BITS > rungs[-1][1]
+        for k, (_, prec, scale, _) in enumerate(passes[len(rungs):]):
+            assert (prec, scale) == (precision << k, (precision << k) + bethe.GUARD_BITS + extra)
 
     @pytest.mark.parametrize("boundary, n, precision", [
         (Boundary.PERIODIC, 20, 256), (Boundary.REFLECTING, 24, 256),
         (Boundary.TWISTED, 9, 64), (Boundary.PERIODIC, 6, 4096),
     ])
     def test_rungs_double_the_precision(self, monkeypatch, boundary, n, precision):
-        rs, circles, passes = solve_recording_passes(monkeypatch, elem_for(boundary, n), precision)
-        self.assert_ladder(circles, passes, precision)
-        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - precision)
+        qp = elem_for(boundary, n)
+        rs, passes, counts = solve_recording_passes(monkeypatch, qp, precision)
+        self.assert_ladder(qp, passes, precision)
+        assert counts == [0] and rs.certified_scale == passes[-1][2]
 
-    def test_coefficients_overflowing_a_double(self, monkeypatch):
-        # (w - a)(w + a)(w - 3a) with a = 10^134: e_3 = -3a^3 ~ -10^402,
-        # beyond the double range but not beyond the ints of the ladder
+    def test_reflecting_103_certifies_after_one_doubling(self, monkeypatch):
+        # The deleted coefficient-reconstruction gate raised here (1.58e-71
+        # against 9.06e-72), although the roots were fine.  The signs leave
+        # some of them uncertified at the first full pass and certify all
+        # of them at twice its precision.
+        qp = elem_reflecting(103)
+        rs, passes, counts = solve_recording_passes(monkeypatch, qp, 256)
+        self.assert_ladder(qp, passes, 256, doublings=1)
+        assert counts[0] > 0 and counts[1:] == [0]
+        assert rs.certified_scale == passes[-1][2] and len(rs.roots) == 206
+
+    def test_ladder_cap_raises(self, monkeypatch):
+        # signs that never certify: MAX_DOUBLINGS more full passes, then a
+        # structured error at the requested precision
+        scales = []
+        monkeypatch.setattr(bethe, "_uncertified",
+                            lambda ints, roots, scale, precision: scales.append(scale) or 2)
+        with pytest.raises(NonConvergenceError) as info:
+            solve_roots(elem_twisted(5), 128)
+        err = info.value
+        assert "certify 3 of 5 roots" in str(err)
+        assert (err.degree, err.precision, err.correction) == (5, 128, 2)
+        extra = scales[0] - 128 - bethe.GUARD_BITS
+        assert scales == [(128 << k) + bethe.GUARD_BITS + extra
+                          for k in range(bethe.MAX_DOUBLINGS + 1)]
+
+    def test_coefficients_overflowing_a_double(self):
+        # (w - a)(w + a)(w - 3a) with a = 10^134: e_3 = -3a^3 ~ -10^402, beyond
+        # the double range but not beyond the ints of the ladder.  Its roots
+        # lie far from the groundstate arc, so the first rung stalls at its
+        # cap: a structured error, not an overflow.
         a = 10**134
         qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3 * a, -a * a, -3 * a**3))))
-        rs, circles, passes = solve_recording_passes(monkeypatch, qp)
-        self.assert_ladder(circles, passes, 256)
-        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
-        with mp.workprec(256):
-            assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([-1, 1, 3], abs=1e-60)
-
-    @staticmethod
-    def assert_full_pass_from_the_circle(rs, circles, passes):
-        """The full pass starts from a second circle, at its own scale."""
-        assert len(circles) == 2 and circles[1] == (passes[-1][2], passes[-1][0])
-        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
-        assert rs.residual < mp.mpf(10) ** -40
+        with pytest.raises(NonConvergenceError) as info:
+            solve_roots(qp, 256)
+        assert (info.value.precision, info.value.iterations) == (53, 64 + 8 * 53 // 16)
 
     @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 8), (Boundary.REFLECTING, 6)])
     def test_coincident_float_roots(self, monkeypatch, boundary, n):
-        coincident = [(1 << 53, 1 << 53)] * (n - 1) + [(0, 2 << 53)]
-        rs, circles, passes = solve_recording_passes(monkeypatch, elem_for(boundary, n),
-                                                     fail=(0, coincident))
-        assert len(passes) == 2
-        self.assert_full_pass_from_the_circle(rs, circles, passes)
+        coincident = [1 << 60] * n
+        with pytest.raises(NonConvergenceError) as info:
+            solve_recording_passes(monkeypatch, elem_for(boundary, n), fail=(0, coincident))
+        assert "zero denominator" in str(info.value) and info.value.correction == mp.inf
 
     @pytest.mark.parametrize("rung, failure", [
         (0, ZeroDivisionError()), (1, ZeroDivisionError()), (2, ZeroDivisionError()),
-        (1, [(1, 1)] * 8), (2, [(1, 1)] * 8),
+        (1, [1] * 8), (2, [1] * 8),
     ], ids=["0-raises", "1-raises", "2-raises", "1-coincident", "2-coincident"])
     def test_failing_rung(self, monkeypatch, rung, failure):
-        # periodic n = 8 at 256 bits climbs rungs 0, 1 and 2 (53, 106, 212 bits)
-        rs, circles, passes = solve_recording_passes(monkeypatch, elem_periodic(8),
-                                                     fail=(rung, failure))
-        assert len(passes) == rung + 2
-        self.assert_full_pass_from_the_circle(rs, circles, passes)
+        # periodic n = 8 at 256 bits climbs rungs 0, 1 and 2 (53, 106, 212
+        # bits); the error of a failing rung ends the solve, with no fallback
+        with pytest.raises(ArithmeticError) as info:
+            solve_recording_passes(monkeypatch, elem_periodic(8), fail=(rung, failure))
+        if isinstance(failure, Exception):
+            assert info.value is failure
+        else:
+            assert isinstance(info.value, NonConvergenceError) and info.value.correction == mp.inf
 
 
 class TestNonConvergence:
-    def test_reconstruction_failure_carries_fields(self, monkeypatch):
-        monkeypatch.setattr(bethe, "_reconstruct_error", lambda coeffs, roots, scale: mp.mpf(1))
+    def test_certificate_failure_carries_fields(self, monkeypatch):
+        monkeypatch.setattr(bethe, "_uncertified", lambda ints, roots, scale, precision: 1)
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(elem_periodic(4), PREC)
         err = info.value
-        assert "reconstruction error" in str(err)
+        assert "signs certify 3 of 4 roots" in str(err)
         assert err.degree == 4
         assert err.precision == PREC
         assert err.iterations >= 1
@@ -281,23 +312,21 @@ class TestNonConvergence:
         # so 90 iterations do not bring the relative step below 2^(4 - 53)
         coeffs = [Fraction(comb(8, k) * (-1) ** (8 - k)) for k in range(9)]
         with pytest.raises(NonConvergenceError) as info:
-            bethe._aberth(coeffs, bethe._circle(coeffs, 1000), 53, 1000)
+            bethe._aberth(coeffs, _starts(elem_periodic(8), 1000), 53, 1000)
         err = info.value
         assert "stalled at correction" in str(err)
         assert (err.degree, err.precision, err.iterations) == (8, 53, 64 + 8 * 53 // 16)
         assert err.correction > mp.mpf(2) ** (4 - 53)
 
-    def test_message_is_short_and_keeps_the_exponent(self, monkeypatch):
-        # a message cut at 160 characters must still read as 1.04e-40
-        tiny = "1.0379423292751122942761111189117939552395705548131500380e-40"
-        monkeypatch.setattr(bethe, "_reconstruct_error",
-                            lambda coeffs, roots, scale: mp.mpf(tiny))
+    def test_message_is_short_and_keeps_the_exponent(self):
+        # the stall of (w - 1)^8 at a worst step of 1.84e-8: a message cut
+        # at 160 characters must still read as that
+        coeffs = [Fraction(comb(8, k) * (-1) ** (8 - k)) for k in range(9)]
         with pytest.raises(NonConvergenceError) as info:
-            solve_roots(elem_periodic(4), PREC)
+            bethe._aberth(coeffs, _starts(elem_periodic(8), 1000), 53, 1000)
         message = str(info.value)
         assert len(message) < 160
-        assert "1.0379423e-40" in message
-        assert "e-52" in message  # the tolerance 2^(20 - 192)
+        assert mpmath.nstr(info.value.correction, 8) in message and "e-8" in message
 
 
 class TestStallSizes:
@@ -331,81 +360,133 @@ class TestStallSizes:
         assert verify_reflecting_product(20, 256).equal
 
 
+class TestCertifiedSweep:
+    """Every groundstate the numeric checks use, and more: solve_roots
+    certifies all three boundaries for n = 1..12, 30 and 60 at 256 bits and
+    for n <= 6 at 64 and 4096 bits, with real ascending roots."""
+
+    CASES = [(b, n, 256) for b in Boundary for n in [*range(1, 13), 30, 60]] + [
+        (b, n, precision) for b in Boundary for n in range(1, 7) for precision in (64, 4096)]
+
+    @pytest.mark.parametrize("boundary, n, precision", CASES)
+    def test_certifies(self, boundary, n, precision):
+        rs = groundstate_roots(boundary, n, precision)
+        values = rs.wt_roots or rs.roots
+        assert len(values) == n and all(mp.im(w) == 0 for w in rs.roots)
+        assert list(values) == sorted(values, key=mp.re) and mp.re(values[0]) > 0
+        assert rs.certified_scale >= precision + bethe.GUARD_BITS
+
+
 class TestLargeCoefficients:
-    """Cubics with coefficients up to 10^2700, at 256 bits.  The mpmath
-    kernel stalled at its cap on every three-real case and failed
-    reconstruction on the huge constant term at k = 400, 500 and on the
-    huge linear coefficient at k = 330, 400; a single scale-53 seed failed
-    reconstruction on the huge constant term from k = 600."""
+    """Cubics with coefficients up to 10^2700, at 256 bits.  None is a
+    groundstate Q: the huge-constant and huge-linear ones have two non-real
+    roots, and the three-real ones have their roots far from the
+    groundstate arc.  Each must raise a structured NonConvergenceError, and
+    fast: the first rung of the ladder ends at its cap or on its signs."""
+
+    @staticmethod
+    def assert_fails_loudly(evalues):
+        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, evalues)))
+        start = time.perf_counter()
+        with pytest.raises(NonConvergenceError) as info:
+            solve_roots(qp, 256)
+        assert time.perf_counter() - start < 5
+        err = info.value
+        assert err.degree == 3 and err.iterations >= 1
+        assert err.precision in (53, 106, 212, 256) and err.correction > 0
 
     @pytest.mark.parametrize("k", [300, 330, 400, 500])
     def test_three_real_roots_of_one_sign(self, k):
         # (w - a)(w - 2a)(w - 4a) with a = 10^k
         a = 10**k
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 7 * a, 14 * a * a, 8 * a**3))))
-        rs = solve_roots(qp, 256)
-        assert rs.reconstruction_error <= mp.mpf(2) ** (20 - 256)
-        with mp.workprec(256):
-            assert sorted(mp.re(w) / a for w in rs.roots) == pytest.approx([1, 2, 4], abs=1e-60)
+        self.assert_fails_loudly((1, 7 * a, 14 * a * a, 8 * a**3))
 
     @pytest.mark.parametrize("k", [300, 330, 400, 500, 600, 700, 900])
     def test_huge_constant_term(self, k):
-        # w^3 - 2w^2 + 3w - 10^k
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 2, 3, 10**k))))
-        assert solve_roots(qp, 256).reconstruction_error <= mp.mpf(2) ** (20 - 256)
+        # w^3 - 2w^2 + 3w - 10^k: one real root of size 10^(k/3)
+        self.assert_fails_loudly((1, 2, 3, 10**k))
 
     @pytest.mark.parametrize("k", [300, 330, 400, 500])
     def test_huge_linear_coefficient(self, k):
-        # w^3 - 3w^2 + 10^k w - 7: one root near 7 10^-k, two of size 10^(k/2)
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**k, 7))))
-        assert solve_roots(qp, 256).reconstruction_error <= mp.mpf(2) ** (20 - 256)
+        # w^3 - 3w^2 + 10^k w - 7: one root near 7 10^-k, two near +-i 10^(k/2)
+        self.assert_fails_loudly((1, 3, 10**k, 7))
 
     def test_huge_linear_coefficient_stalls_loudly(self):
-        # From k = 700 the scale-53 rung leaves two roots on the circle, the
-        # next rung stalls, and the full pass, sent back to the circle,
-        # stalls at its cap: a known limit, which must stay a structured
-        # error and never a silent pass.
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**700, 7))))
+        self.assert_fails_loudly((1, 3, 10**700, 7))
+
+    @pytest.mark.parametrize("evalues", [(1, 0, 1), (1, 2, 3, 10)], ids=["w2+1", "cubic"])
+    def test_small_non_real_roots(self, evalues):
+        # w^2 + 1 and w^3 - 2w^2 + 3w - 10 (one real root, two non-real)
+        qp = QPolynomial(Boundary.TWISTED, len(evalues) - 1, tuple(map(Fraction, evalues)))
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(qp, 256)
-        err = info.value
-        assert "stalled at correction" in str(err)
-        assert (err.degree, err.precision, err.iterations) == (3, 256, 64 + 8 * 256 // 16)
-        assert err.correction > mp.mpf(2) ** (4 - 256)
+        assert info.value.degree == qp.n
 
 
 class TestReconstructionOracle:
-    """The integer reconstruction gate against the mpmath one
-    (oracles.reconstruct_error_mpmath) at the same working precision, on
-    the int roots solve_roots hands the gate and on those roots with their
-    last 96 bits cleared, whose error stands far above the rounding of
-    either gate.  Each gate rounds within about n (n + 1) prod (1 + |x_i|)
-    ulp (see _reconstruct_error)."""
+    """The int sign certificate (_uncertified) that replaced the
+    coefficient-reconstruction gate, against that gate kept as an mpmath
+    oracle (oracles.reconstruct_error_mpmath, to 2^(20 - 256)) and against
+    signs of Q taken in Fraction arithmetic: on the int roots of the
+    certified pass and on those roots moved by 2^-140 relative, the three
+    verdicts must agree.  The cubics are not groundstates, so their
+    roots are given: the exact ones of the three-real cubic, and a real
+    root with two real points for the others, which no real roots fit."""
 
     CUBICS = {
-        "three-real-300": (1, 7 * 10**300, 14 * 10**600, 8 * 10**900),
-        "constant-600": (1, 2, 3, 10**600),
-        "linear-500": (1, 3, 10**500, 7),
+        "three-real-300": ((1, 7 * 10**300, 14 * 10**600, 8 * 10**900), (1, 2, 4)),
+        "constant-600": ((1, 2, 3, 10**600), (1, 2, 3)),
+        "linear-500": ((1, 3, 10**500, 7), (1, 2, 3)),
     }
+    SCALE = 3000
 
-    @pytest.mark.parametrize("qp", [
-        *(elem_for(b, n) for b in Boundary for n in (4, 10, 20, 45)),
-        *(QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, c))) for c in CUBICS.values()),
+    @staticmethod
+    def fraction_uncertified(coeffs, roots, scale, precision):
+        """The count _uncertified gives, from signs of Q on Fractions at the
+        full interval ends x +- 2^(20 - precision) |x|."""
+        def sign(x):
+            v = 0
+            for c in reversed(coeffs):
+                v = v * x + c
+            return (v > 0) - (v < 0)
+
+        count, last = 0, None
+        for x in (Fraction(r, 1 << scale) for r in roots):
+            d = abs(x) / 2 ** (precision - 20)
+            if (last is not None and x - d <= last) or sign(x - d) * sign(x + d) >= 0:
+                count += 1
+            last = x + d
+        return count
+
+    def roots_at_scale(self, monkeypatch, name, qp):
+        """The int roots the signs certified and their scale."""
+        if name not in self.CUBICS:
+            _, passes, _ = solve_recording_passes(monkeypatch, qp)
+            return sorted(passes[-1][3]), passes[-1][2]
+        evalues, given = self.CUBICS[name]
+        a = 10**300 if name.startswith("three") else 1
+        return [(r * a) << self.SCALE for r in given], self.SCALE
+
+    @pytest.mark.parametrize("name, qp", [
+        *((f"{b.value}-{n}", elem_for(b, n)) for b in Boundary for n in (4, 10, 20, 45)),
+        *((name, QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, c))))
+          for name, (c, _) in CUBICS.items()),
     ], ids=[*(f"{b.value}-{n}" for b in Boundary for n in (4, 10, 20, 45)), *CUBICS])
-    def test_agrees_on_the_same_roots(self, monkeypatch, qp):
-        calls, gate = [], bethe._reconstruct_error
-        monkeypatch.setattr(bethe, "_reconstruct_error",
-                            lambda *args: calls.append(args) or gate(*args))
-        solve_roots(qp, 256)
-        (coeffs, roots, scale), = calls
-        for cut in (0, 96):
-            cut_roots = [(xr >> cut << cut, xi >> cut << cut) for xr, xi in roots]
-            with mp.workprec(scale):
-                ws = [_mpc(r, scale) for r in cut_roots]
-                bound = 2 * qp.n * (qp.n + 1) * mp.fprod(1 + abs(w) for w in ws)
-                bound *= mp.mpf(2) ** -scale
-                got, want = gate(coeffs, cut_roots, scale), reconstruct_error_mpmath(coeffs, ws)
-                assert abs(got - want) <= bound
+    def test_agrees_on_the_same_roots(self, monkeypatch, name, qp):
+        roots, scale = self.roots_at_scale(monkeypatch, name, qp)
+        coeffs = qp.coeffs
+        den = math.lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
+        verdicts = []
+        for moved in (roots, [x + (x >> 140) for x in roots]):
+            got = bethe._uncertified(ints, moved, scale, 256)
+            with mp.workprec(scale + 64):
+                rebuilt = reconstruct_error_mpmath(coeffs, [_mpf(x, scale) for x in moved])
+            assert got == self.fraction_uncertified(coeffs, moved, scale, 256)
+            assert (got == 0) == (rebuilt <= mp.mpf(2) ** (20 - 256))
+            verdicts.append(got == 0)
+        assert verdicts == ([False, False] if name in ("constant-600", "linear-500")
+                            else [True, False])
 
 
 class TestResiduals:
@@ -448,10 +529,12 @@ class TestResidualOracle:
         assert abs(got - want) <= mp.mpf(2) ** (116 - precision) * want
 
     def test_tiny_and_huge_roots(self):
-        # w^3 - 3w^2 + 10^300 w - 7: a root near 7 10^-300 that a scale
-        # without its extra bits would round to 0, and two of size 10^150
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3, 10**300, 7))))
-        rs = solve_roots(qp, 256)
+        # a root near 7 10^-300 that a scale without its extra bits would
+        # round to 0, and two of size 10^150
+        rs = solve_roots(elem_twisted(3), 256)
+        with mp.workprec(256 + 64):
+            roots = tuple(mp.mpc(x) for x in ("7e-300", "1.5e150", "2.5e150"))
+        rs = replace(rs, roots=roots)
         got, want = bethe.bethe_residual(rs), bethe_residual_mpmath(rs)
         assert want > 1
         assert abs(got - want) <= mp.mpf(2) ** (16 - 256) * want

@@ -12,6 +12,7 @@ from mpmath import mp
 
 from betheq import asmcounts, bethe, cli, conjectures, ed
 from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
+from betheq.qfunctions import Boundary, QPolynomial
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -145,7 +146,7 @@ class TestRoots:
             for r in data["roots"]
         )
 
-    def test_roots_report_iterations_and_reconstruction_error(self, capsys):
+    def test_roots_report_iterations_and_certified_scale(self, capsys):
         code, out = run_capture(
             capsys,
             ["roots", "--boundary", "reflecting", "--n", "4", "--precision", "128"],
@@ -153,7 +154,8 @@ class TestRoots:
         assert code == EXIT_OK
         data = json.loads(out)
         assert 1 <= data["iterations"] < 64 + 8 * 128 // 16
-        assert 0 <= float(data["reconstruction_error"]) <= 2.0 ** (20 - 128)
+        assert data["certified_scale"] >= 128 + bethe.GUARD_BITS
+        assert all(float(r["im"]) == 0 for r in data["roots"])
 
     def test_determinism(self, capsys):
         argv = ["roots", "--boundary", "twisted", "--n", "4", "--precision", "96"]
@@ -335,6 +337,17 @@ class TestExitCodes:
 
         monkeypatch.setattr(conj, "verify_periodic_product", fake)
         assert run(["verify", "conj", "--n", "2"]) == EXIT_FAIL
+
+    def test_non_real_roots_give_an_unequal_entry(self, capsys, monkeypatch):
+        # a reflecting Q with the non-real roots wt = +-i: the solver's own
+        # error, not a forced one, becomes the report entry
+        monkeypatch.setattr(conjectures, "elem_reflecting",
+                            lambda n: QPolynomial(Boundary.REFLECTING, 2, (1, 0, 1)))
+        code, out = run_capture(capsys, ["verify", "conj2", "--n", "2"])
+        assert code == EXIT_NUMERIC
+        data = json.loads(out)
+        assert data["equal"] is False and data["degree"] == 2
+        assert {"error", "precision_bits", "iterations", "correction"} <= set(data)
 
     def test_nonconvergence_in_one_report_keeps_the_others(self, capsys, monkeypatch):
         conj2 = conjectures.VERIFIERS["conj2"]
