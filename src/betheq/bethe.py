@@ -12,11 +12,12 @@ polynomial certify the result: a sign change across each root's
 enclosure proves n simple real roots, one in each enclosure.  They are
 checked again by the Bethe-equation residual and (downstream) by exact
 diagonalization.  Every value read off the roots (residual, energy,
-ordered sums and the reflecting product) runs on Gaussian block floats of
-Python ints, (re, im, e) for (re + i im) 2^e, from one int form of the
-roots, q and z (_fixed_roots), and states its rounding bound.  mpmath
-runs only at the module's edges: the stall report and the conversion of
-results.
+ordered sums and the reflecting product) runs on Python ints from one int
+per root (_fixed_roots): Gaussian block floats (re, im, e) for
+(re + i im) 2^e carry q, z and the complex products, real ones (x, e) for
+x 2^e the energy and the reflecting product, and each value states its
+rounding bound.  mpmath runs only at the module's edges: the stall report
+and the conversion of results.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class NonConvergenceError(ArithmeticError):
 class RootSet:
     """Certified numeric roots of one Q-polynomial.
 
-    The roots are real and ascending (held as mpc with imaginary part 0).
+    The roots are real and ascending, held as mpf.
     For the reflecting boundary, wt_roots holds the n roots in the
     wt = w + 1/w variable and roots holds the 2n split values with
     roots[i + n] = 1/roots[i] exactly by construction.  Before rounding,
@@ -139,7 +140,7 @@ def _aberth(coeffs, roots, prec: int, scale: int):
     rel = prec - 4
     roots = list(roots)
     active = range(n)
-    cap = 64 + 8 * prec // 16
+    cap = 64 + prec // 2
     for iterations in range(1, cap + 1):
         moving, steps = [], []
         for i in active:
@@ -260,9 +261,9 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     if qp.boundary is Boundary.REFLECTING:
         wt, roots = roots, [(t + isqrt(t * t - (4 << 2 * scale))) >> 1 for t in roots]
     with mp.workprec(precision + GUARD_BITS):
-        roots = tuple(mp.mpc(mp.mpf((x, -scale))) for x in roots)
+        roots = tuple(mp.mpf((x, -scale)) for x in roots)
         if wt is not None:
-            wt = tuple(mp.mpc(mp.mpf((t, -scale))) for t in wt)
+            wt = tuple(mp.mpf((t, -scale)) for t in wt)
             roots += tuple(1 / w for w in roots)
         rs = RootSet(
             boundary=qp.boundary,
@@ -285,6 +286,13 @@ def _normal(re, im, e, bits: int):
     if k > 0:
         return re >> k, im >> k, e + k
     return re, im, e
+
+
+def _cut(x, e, bits: int):
+    """The real block float x 2^e cut to the given bit length (rounded
+    down), below 2^(1 - bits) relative."""
+    k = x.bit_length() - bits
+    return (x >> k, e + k) if k > 0 else (x, e)
 
 
 def _mul(a, b, bits: int):
@@ -312,20 +320,28 @@ def _quotient(ar, ai, br, bi, bits: int, e: int = 0):
     return (nr << s) // m, (ni << s) // m, e - s
 
 
+def _quotient_by_real(ar, ai, b, bits: int, e: int = 0):
+    """(ar + i ai)/b 2^e for a real int b != 0: _quotient's block float,
+    with its shift taken from (ar + i ai) b over b^2, so the two agree bit
+    for bit at bi = 0."""
+    s = max(0, bits + 2 + (b * b).bit_length() - (b * max(abs(ar), abs(ai))).bit_length())
+    return (ar << s) // b, (ai << s) // b, e - s
+
+
 def _fixed_roots(roots, bits: int):
-    """The scale S = bits + 4 + max(0, -min_i mag(w_i)), the roots as (re, im)
-    int pairs at S, q = (h + i r) 2^-S as (h, r), q^2 w and q w - 1 at S and
-    the block floats z = (q - w)/(q w - 1).  As |w| <= 2^mag(w) and the larger
-    part of w is at least 2^(mag(w) - 2), truncating a part errs by less than
-    a quarter of its own last bit, however small the root; r and each part
-    of q w and q^2 w are rounded down, below one unit at S."""
+    """The scale S = bits + 4 + max(0, -min_i mag(w_i)), each real root w as
+    one int at S, q = (h + i r) 2^-S as (h, r), q^2 w and q w - 1 at S as
+    (re, im) int pairs, one real-by-complex multiply each, and the block
+    floats z = (q - w)/(q w - 1).  As 2^(mag(w) - 2) <= |w| <= 2^mag(w),
+    truncating w errs by less than a quarter of its own last bit, however
+    small the root; r and each part of q w and q^2 w are rounded down,
+    below one unit at S."""
     S = bits + 4 + max(0, -min((mp.mag(w) for w in roots if w), default=0))
-    ws = [(int(mp.ldexp(w.real, S)), int(mp.ldexp(w.imag, S))) for w in roots]
-    one = 1 << S
-    h, r = one >> 1, isqrt(3 << (2 * S - 2))
-    q2w = [((-h * xr - r * xi) >> S, (r * xr - h * xi) >> S) for xr, xi in ws]
-    qw1 = [(((h * xr - r * xi) >> S) - one, (h * xi + r * xr) >> S) for xr, xi in ws]
-    zs = [_quotient(h - wr, r - wi, ar, ai, S) for (wr, wi), (ar, ai) in zip(ws, qw1)]
+    ws = [int(mp.ldexp(w, S)) for w in roots]
+    h, r = 1 << S - 1, isqrt(3 << (2 * S - 2))
+    q2w = [(-x >> 1, r * x >> S) for x in ws]  # h w is a shift
+    qw1 = [((x >> 1) - (1 << S), r * x >> S) for x in ws]
+    zs = [_quotient(h - x, r, ar, ai, S) for x, (ar, ai) in zip(ws, qw1)]
     return S, ws, (h, r), q2w, qw1, zs
 
 
@@ -342,59 +358,56 @@ def bethe_residual(rs: RootSet):
     (q^2 - w_i w_j)/(1 - q^2 w_i w_j).  Returns an mpf at precision +
     GUARD_BITS, exactly 0 when n = 0.
 
-    The stored roots, q, q^2 w_j and z_i enter at scale
-    S = precision + GUARD_BITS + 4 + max(0, -min_i mag(w_i)) (see
-    _fixed_roots) and q^-2 is truncated to S, so the factors are exact int
-    differences.  One running numerator and one denominator per root are
-    cut back to S bits after every complex multiply, a relative error
-    below 2^(1.5 - S) each; z_i and N/D are one int division each, rounded
-    down to at least S + 1 bits, below 2^-S; and z_i^P comes by binary
-    powering (_power), whose squarings double every error before them.
-    So, to first order and relative to the same formula evaluated exactly
-    on those rounded ints, N/D is within 12 n 2^-S (at most 2n - 2 factors
-    on each side) and z_i^P within 7 P 2^-S.  The defect is the exact
-    difference of the two, aligned to the smaller exponent; only the worst
-    |defect|^2 converts to mpmath.
+    For real w, q^2 w_j - w_i = q^2 conj(w_j - q^2 w_i).  So with
+    D_i = prod_j (w_j - q^2 w_i) over m factors (m = n - 1, or 2n - 2 for
+    the reflecting chain) the right side is t q^(2m) conj(D_i)^2/|D_i|^2,
+    and t q^(2m) is one of 1, q^2, q^4.  The stored roots, q, q^2 w_i and
+    z_i enter at scale S = precision + GUARD_BITS + 4 +
+    max(0, -min_i mag(w_i)) (see _fixed_roots), so the factors are exact
+    int differences.  One running product D_i per root is cut back to S
+    bits after every complex multiply, a relative error below 2^(1.5 - S)
+    each, which conj(D_i)/D_i doubles; the phase is rounded below 2^-S;
+    the quotient is one int division, rounded down to at least S + 1 bits,
+    below 2^-S; and z_i^P comes by binary powering (_power), whose
+    squarings double every error before them.  So, to first order and
+    relative to the same formula evaluated exactly on those rounded ints,
+    the right side is within (6m + 2) 2^-S and z_i^P within 7 P 2^-S.  The
+    defect is the exact difference of the two, aligned to the smaller
+    exponent; only the worst |defect|^2 converts to mpmath.
     """
     n = rs.n
     prec = rs.precision + GUARD_BITS
     S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.roots, prec)
     one = 1 << S
+    # t q^(2m) = q^(2k); t = q^4 adds 2 to k for the twisted chain
     if rs.boundary is Boundary.REFLECTING:
-        power, t = 2 * rs.L, (one, 0)
+        power, k = 2 * rs.L, 2 * n - 2
     else:
-        power, t = rs.L, (-h, -r) if rs.boundary is Boundary.TWISTED else (one, 0)
-    factors = [(xr, xi, yr, yi) for (xr, xi), (yr, yi) in zip(ws, q2w)]
+        power, k = rs.L, n + 1 if rs.boundary is Boundary.TWISTED else n - 1
+    tr, ti = ((one, 0), (-h, r), (-h, -r))[k % 3]
     worst, worst_e = 0, 0  # |defect|^2 = worst 2^(2 worst_e)
     for i in range(n):
-        wr, wi = ws[i]
         vr, vi = q2w[i]
-        # num and den both start at scale S and take one factor at scale S
-        # each step, so N/D carries only the shifts: num shifts minus den's.
-        # _normal is inlined here, the one O(n^2) loop.
-        nr, ni = t
-        dr, di, shift = one, 0, 0
-        for j, (xr, xi, yr, yi) in enumerate(factors):
+        # D starts at scale S and takes one factor at scale S each step; its
+        # scale cancels in conj(D)/D.  The cut is inlined here, the one
+        # O(n^2) loop.
+        dr, di = one, 0
+        for j, x in enumerate(ws):
             if j % n == i:
                 continue
-            fr, fi = yr - wr, yi - wi  # q^2 w_j - w_i
-            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
-            k = (abs(nr) | abs(ni)).bit_length() - S
-            if k > 0:
-                nr, ni, shift = nr >> k, ni >> k, shift + k
-            fr, fi = xr - vr, xi - vi  # w_j - q^2 w_i
-            dr, di = dr * fr - di * fi, dr * fi + di * fr
+            fr = x - vr  # w_j - q^2 w_i = fr - i vi
+            dr, di = dr * fr + di * vi, di * fr - dr * vi
             k = (abs(dr) | abs(di)).bit_length() - S
             if k > 0:
-                dr, di, shift = dr >> k, di >> k, shift - k
-        ur, ui, ue = _quotient(nr, ni, dr, di, S, shift)
+                dr, di = dr >> k, di >> k
+        ur, ui, ue = _quotient(tr * dr + ti * di, ti * dr - tr * di, dr, di, S, -S)
         pr, pi, pe = _power(zs[i], power, S)
         e = min(pe, ue)
         er = (pr << (pe - e)) - (ur << (ue - e))
         ei = (pi << (pe - e)) - (ui << (ue - e))
-        m = er * er + ei * ei
-        if (m << 2 * max(0, e - worst_e)) > (worst << 2 * max(0, worst_e - e)):
-            worst, worst_e = m, e
+        d = er * er + ei * ei
+        if (d << 2 * max(0, e - worst_e)) > (worst << 2 * max(0, worst_e - e)):
+            worst, worst_e = d, e
     with mp.workprec(prec):
         return mp.sqrt(mp.mpf((worst, 2 * worst_e)))
 
@@ -402,21 +415,22 @@ def bethe_residual(rs: RootSet):
 def energy(rs: RootSet):
     """Eigenvalue -L'/2 Delta - sum (z_i + 1/z_i - 2 Delta) at Delta = -1/2,
     L'/4 - sum (z_i + 1/z_i + 1), with L' = L for closed chains and L - 1
-    for the reflecting chain; an mpc at precision + GUARD_BITS.
+    for the reflecting chain; an mpf at precision + GUARD_BITS.
 
-    At the scale S of bethe_residual, z_i and 1/z_i = (q w_i - 1)/(q - w_i)
-    are one int division each, below 2^-S relative, and -E, their sum with
-    n - L'/4, is exact and cut once to S bits: E is within
-    2^-S sum (|z_i| + |1/z_i|) + 2^(1.5 - S) |E| of the formula evaluated
-    exactly on the rounded ints.
+    For real w, |z| = 1 and z + 1/z = 2 Re z, so E = L'/4 - n - 2 sum Re z_i.
+    At the scale S of bethe_residual each z_i is one int division, its real
+    part below 2^(-1 - S) off, and the sum is exact and cut once to S bits:
+    E is within n 2^-S + 2^(1 - S) |E| of that formula evaluated exactly on
+    the rounded ints.
     """
     prec = rs.precision + GUARD_BITS
-    S, ws, (h, r), _, qw1, zs = _fixed_roots(rs.bethe_roots, prec)
+    S, *_, zs = _fixed_roots(rs.bethe_roots, prec)
     lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
-    inv = [_quotient(ar, ai, h - wr, r - wi, S) for (wr, wi), (ar, ai) in zip(ws, qw1)]
-    re, im, e = _sum([(4 * rs.n - lfac, 0, -2), *zs, *inv], S)
+    terms = [(4 * rs.n - lfac, -2), *((zr, ze + 1) for zr, _, ze in zs)]
+    e = min(te for _, te in terms)
+    x, e = _cut(sum(t << te - e for t, te in terms), e, S)
     with mp.workprec(prec):
-        return -mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
+        return -mp.mpf((x, e))
 
 
 def _sum(values, bits: int):
@@ -475,9 +489,9 @@ def _ordered_sum(pairs, slots, bits: int, prec: int):
 
 def _closed_pairs(ws, q2w, S: int):
     """(w_u - q^2 w_v)/(w_u - w_v) for u != v at scale S."""
-    return [[_quotient(ur - yr, ui - yi, ur - xr, ui - xi, S) if u != v else None
-             for v, ((xr, xi), (yr, yi)) in enumerate(zip(ws, q2w))]
-            for u, (ur, ui) in enumerate(ws)]
+    return [[_quotient_by_real(x - yr, -yi, x - y, S) if u != v else None
+             for v, (y, (yr, yi)) in enumerate(zip(ws, q2w))]
+            for u, x in enumerate(ws)]
 
 
 def _perm_sum(rs: RootSet, amp_power: int):
@@ -536,8 +550,8 @@ def wavefunction_component(rs: RootSet, positions):
     if not reflecting:
         return _ordered_sum(closed, [[_power(z, x, S) for z in zs] for x in positions], S, prec)
     # index v - n is the mirror of v
-    consts = [_quotient(-ar, -ai, wr - ws[v - n][0], wi - ws[v - n][1], S)
-              for v, ((wr, wi), (ar, ai)) in enumerate(zip(ws, qw1))]
+    consts = [_quotient_by_real(-ar, -ai, w - ws[v - n], S)
+              for v, (w, (ar, ai)) in enumerate(zip(ws, qw1))]
     slots = [[_mul(c, _power(zs[v - n], rs.L - x, S), S) for v, c in enumerate(consts)]
              for x in positions]
     pairs = [[_mul(closed[v][u - n], closed[v - n][u - n], S) if (u - v) % n else None
@@ -548,31 +562,38 @@ def wavefunction_component(rs: RootSet, positions):
 def reflecting_double_product(rs: RootSet):
     """The double product prod_i prod_j (1 + z_i + z_i z_j) over the 2n
     reflecting variables, excluding j = i and the mirror j = i +- n by
-    index, so that rounding cannot drop factors; an mpc at precision +
+    index, so that rounding cannot drop factors; an mpf at precision +
     GUARD_BITS.
 
     Each factor is (1 - 2q)(w_i - q^2 w_j)/((q w_i - 1)(q w_j - 1)) (see
-    conjectures._double_product) and (1 - 2q)^2 = -3, so the product is
-    3^(2n(n-1)) prod (w_i - q^2 w_j) / C^(4(n-1)), C = prod_i (q w_i - 1).
-    At the scale S of bethe_residual each w_i - q^2 w_j is an exact int
-    difference.  The 4n(n-1) factors and the 2n of C are cut to S bits
-    after each multiply (below 2^(1.5 - S) relative), C^(4(n-1)) comes by
-    binary powering and the quotient is one int division, so to first order
-    the product is within 30 n^2 2^-S of the formula on the rounded ints.
+    conjectures._double_product) and (1 - 2q)^2 = -3.  For real w,
+    (w_i - q^2 w_j)(w_j - q^2 w_i) = -q^2 (w_i^2 + w_i w_j + w_j^2) and
+    |q w - 1|^2 = w^2 - w + 1, and over the mirror pairs
+    prod_i (q w_i - 1) = q^n prod_i (1 - wt_i), so the phases cancel and the
+    product is
+
+        3^(2n(n-1)) prod_{i<j, j != i+n} (w_i^2 + w_i w_j + w_j^2)
+                    / prod_i (w_i^2 - w_i + 1)^(2(n-1))
+
+    over the 2n stored roots.  At the scale S of bethe_residual each factor
+    is an exact int.  The 2n(n - 1) factors above and the 2n of
+    G = prod_i (w_i^2 - w_i + 1) are cut to S bits after each multiply
+    (below 2^(1 - S) relative), G^(2(n-1)) is the exact power of the cut G,
+    cut once, and the quotient is one int division, so to first order the
+    product is within 12 n^2 2^-S of the formula on the rounded ints.
     """
     if rs.boundary is not Boundary.REFLECTING:
         raise ValueError("needs a reflecting RootSet")
     n, prec = rs.n, rs.precision + GUARD_BITS
-    S, ws, _, q2w, qw1, _ = _fixed_roots(rs.roots, prec)
-    num = (3 ** (2 * n * (n - 1)), 0, 0)
-    for i, (wr, wi) in enumerate(ws):
-        for j, (yr, yi) in enumerate(q2w):
-            if j % n != i % n:
-                num = _mul(num, (wr - yr, wi - yi, -S), S)
-    c = (1, 0, 0)
-    for ar, ai in qw1:
-        c = _mul(c, (ar, ai, -S), S)
-    (nr, ni, ne), (cr, ci, ce) = num, _power(c, 4 * max(n - 1, 0), S)
-    re, im, e = _quotient(nr, ni, cr, ci, S, ne - ce)
+    S, ws, *_ = _fixed_roots(rs.roots, prec)
+    num, ne = 3 ** (2 * n * (n - 1)), 0
+    for i, x in enumerate(ws):
+        for y in ws[i + 1:i + n] + ws[i + n + 1:]:  # j > i, j != i + n
+            num, ne = _cut(num * (x * x + x * y + y * y), ne - 2 * S, S)
+    g, ge = 1, 0
+    for x in ws:
+        g, ge = _cut(g * (x * x - (x << S) + (1 << 2 * S)), ge - 2 * S, S)
+    den, de = _cut(g ** (2 * n - 2), ge * (2 * n - 2), S)
+    x, _, e = _quotient_by_real(num, 0, den, S, ne - de)
     with mp.workprec(prec):
-        return mp.mpc(mp.mpf((re, e)), mp.mpf((im, e)))
+        return mp.mpf((x, e))

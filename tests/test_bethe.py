@@ -372,7 +372,8 @@ class TestCertifiedSweep:
     def test_certifies(self, boundary, n, precision):
         rs = groundstate_roots(boundary, n, precision)
         values = rs.wt_roots or rs.roots
-        assert len(values) == n and all(mp.im(w) == 0 for w in rs.roots)
+        assert len(values) == n
+        assert all(isinstance(w, mp.mpf) for w in rs.roots + (rs.wt_roots or ()))
         assert list(values) == sorted(values, key=mp.re) and mp.re(values[0]) > 0
         assert rs.certified_scale >= precision + bethe.GUARD_BITS
 
@@ -533,7 +534,7 @@ class TestResidualOracle:
         # round to 0, and two of size 10^150
         rs = solve_roots(elem_twisted(3), 256)
         with mp.workprec(256 + 64):
-            roots = tuple(mp.mpc(x) for x in ("7e-300", "1.5e150", "2.5e150"))
+            roots = tuple(mp.mpf(x) for x in ("7e-300", "1.5e150", "2.5e150"))
         rs = replace(rs, roots=roots)
         got, want = bethe.bethe_residual(rs), bethe_residual_mpmath(rs)
         assert want > 1
@@ -598,7 +599,7 @@ class TestEnergyAndProductOracle:
 
     @staticmethod
     def assert_agrees(got, want, precision):
-        assert isinstance(got, mp.mpc)
+        assert isinstance(got, mp.mpf)
         with mp.workprec(precision + 512):
             assert abs(got - want) <= mp.mpf(2) ** (16 - precision) * abs(want)
 
@@ -615,12 +616,14 @@ class TestEnergyAndProductOracle:
         self.assert_agrees(reflecting_double_product(rs),
                            reflecting_double_product_mpmath(ref), precision)
 
-    def test_reflecting_product_to_the_rounding_of_the_roots(self):
-        # 3^(2n(n-1)) prod (w_i - q^2 w_j) / C^(4(n-1)) at n = 10 lands at
-        # 2^-314.8 relative from A_V(21)^2 N_8(20)^4
-        rs = groundstate_roots(Boundary.REFLECTING, 10, 256)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_reflecting_product_to_the_rounding_of_the_roots(self, n):
+        # 3^(2n(n-1)) prod (w_i^2 + w_i w_j + w_j^2) / prod (w_i^2 - w_i + 1)^(2(n-1))
+        # at 256 bits lands at worst 2^-314.7 relative from
+        # A_V(2n+1)^2 N_8(2n)^4 (n = 11)
+        rs = groundstate_roots(Boundary.REFLECTING, n, 256)
         with mp.workprec(512):
-            want = mp.mpf(asm_v(21)) ** 2 * mp.mpf(n8(20)) ** 4
+            want = mp.mpf(asm_v(2 * n + 1)) ** 2 * mp.mpf(n8(2 * n)) ** 4
             assert abs(reflecting_double_product(rs) - want) <= mp.mpf(2) ** -312 * want
 
     def test_energy_to_the_rounding_of_the_roots(self):
@@ -638,7 +641,7 @@ class TestEnergyAndProductOracle:
     def test_energy_without_roots(self):
         rs = solve_roots(elem_periodic(0), 256)
         assert energy(rs) == mp.mpf(rs.L) / 4
-        assert isinstance(energy(rs), mp.mpc)
+        assert isinstance(energy(rs), mp.mpf)
 
     def test_product_needs_a_reflecting_rootset(self):
         with pytest.raises(ValueError):
