@@ -13,11 +13,12 @@ enclosure proves n simple real roots, one in each enclosure.  They are
 checked again by the Bethe-equation residual and (downstream) by exact
 diagonalization.  Every value read off the roots (residual, energy,
 ordered sums and the reflecting product) runs on Python ints from one int
-per root (_fixed_roots): Gaussian block floats (re, im, e) for
-(re + i im) 2^e carry q, z and the complex products, real ones (x, e) for
-x 2^e the energy and the reflecting product, and each value states its
-rounding bound.  mpmath runs only at the module's edges: the stall report
-and the conversion of results.
+per root (_fixed_roots), in one block-float format: (re, im, e) for
+(re + i im) 2^e, with im = 0 for the real energy and product.  As |z| = 1
+for real w, every reciprocal of z or q is a conjugate and every
+denominator a real norm, so one kernel (_quotient) divides, by a real int.
+Each value states its rounding bound.  mpmath runs only at the module's
+edges: the stall report and the conversion of results.
 """
 
 from __future__ import annotations
@@ -281,18 +282,12 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
 
 def _normal(re, im, e, bits: int):
     """The block float (re + i im) 2^e with its larger part cut to the given
-    bit length (rounded down; a shorter value is left as it is)."""
+    bit length (rounded down; a shorter value is left as it is), below
+    2^(1.5 - bits) relative, or 2^(1 - bits) for a real value (im = 0)."""
     k = (abs(re) | abs(im)).bit_length() - bits
     if k > 0:
         return re >> k, im >> k, e + k
     return re, im, e
-
-
-def _cut(x, e, bits: int):
-    """The real block float x 2^e cut to the given bit length (rounded
-    down), below 2^(1 - bits) relative."""
-    k = x.bit_length() - bits
-    return (x >> k, e + k) if k > 0 else (x, e)
 
 
 def _mul(a, b, bits: int):
@@ -311,38 +306,40 @@ def _power(z, power: int, bits: int):
     return p
 
 
-def _quotient(ar, ai, br, bi, bits: int, e: int = 0):
-    """(ar + i ai)/(br + i bi) 2^e as a block float (re, im, e') whose
-    larger part has at least bits + 1 bits, each part rounded down."""
-    m = br * br + bi * bi
-    nr, ni = ar * br + ai * bi, ai * br - ar * bi
-    s = max(0, bits + 2 + m.bit_length() - (abs(nr) | abs(ni)).bit_length())
-    return (nr << s) // m, (ni << s) // m, e - s
-
-
-def _quotient_by_real(ar, ai, b, bits: int, e: int = 0):
-    """(ar + i ai)/b 2^e for a real int b != 0: _quotient's block float,
-    with its shift taken from (ar + i ai) b over b^2, so the two agree bit
-    for bit at bi = 0."""
-    s = max(0, bits + 2 + (b * b).bit_length() - (b * max(abs(ar), abs(ai))).bit_length())
+def _quotient(ar, ai, b, bits: int, e: int = 0):
+    """(ar + i ai)/b 2^e for a real int b != 0, the module's one division:
+    a block float whose larger part has at least bits + 1 bits, each part
+    rounded down.  The numerator is shifted left by
+    s = max(0, bits + 2 + len(b) - len(max(|ar|, |ai|))) bits (len the bit
+    length) before the int division."""
+    s = max(0, bits + 2 + b.bit_length() - max(abs(ar), abs(ai)).bit_length())
     return (ar << s) // b, (ai << s) // b, e - s
 
 
 def _fixed_roots(roots, bits: int):
     """The scale S = bits + 4 + max(0, -min_i mag(w_i)), each real root w as
-    one int at S, q = (h + i r) 2^-S as (h, r), q^2 w and q w - 1 at S as
-    (re, im) int pairs, one real-by-complex multiply each, and the block
-    floats z = (q - w)/(q w - 1).  As 2^(mag(w) - 2) <= |w| <= 2^mag(w),
-    truncating w errs by less than a quarter of its own last bit, however
-    small the root; r and each part of q w and q^2 w are rounded down,
-    below one unit at S."""
+    one int at S, q = (h + i r) 2^-S as (h, r), q^2 w at S as an (re, im)
+    int pair (one real-by-complex multiply), g = |q w - 1|^2 = w^2 - w + 1
+    as an int at 2S, and the block floats
+
+        z = (q - w)/(q w - 1) = (4w - w^2 - 1 + i sqrt(3) (w^2 - 1)) / (2g).
+
+    As 2^(mag(w) - 2) <= |w| <= 2^mag(w), truncating w errs by less than a
+    quarter of its own last bit, however small the root.  r and each part
+    of q^2 w are rounded down, below one unit at S.  The parts of z are ints
+    at 2S, all exact but sqrt(3) (w^2 - 1) = 2r (w^2 - 1) rounded down, and
+    z is one real division (_quotient) by 2g.  As |w^2 - 1| <= 2g/sqrt(3),
+    each z is within 2^(1 - S) of the exact (q - w)/(q w - 1) on the
+    rounded w, and Re z, whose numerator is exact, within 2^(-2 - S)."""
     S = bits + 4 + max(0, -min((mp.mag(w) for w in roots if w), default=0))
     ws = [int(mp.ldexp(w, S)) for w in roots]
-    h, r = 1 << S - 1, isqrt(3 << (2 * S - 2))
+    h, r, one = 1 << S - 1, isqrt(3 << (2 * S - 2)), 1 << 2 * S
     q2w = [(-x >> 1, r * x >> S) for x in ws]  # h w is a shift
-    qw1 = [((x >> 1) - (1 << S), r * x >> S) for x in ws]
-    zs = [_quotient(h - x, r, ar, ai, S) for x, (ar, ai) in zip(ws, qw1)]
-    return S, ws, (h, r), q2w, qw1, zs
+    squares = [x * x for x in ws]
+    gs = [x2 - (x << S) + one for x, x2 in zip(ws, squares)]
+    zs = [_quotient((x << S + 2) - x2 - one, r * (x2 - one) >> S - 1, g, S, -1)
+          for x, x2, g in zip(ws, squares, gs)]
+    return S, ws, (h, r), q2w, gs, zs
 
 
 def bethe_residual(rs: RootSet):
@@ -361,19 +358,21 @@ def bethe_residual(rs: RootSet):
     For real w, q^2 w_j - w_i = q^2 conj(w_j - q^2 w_i).  So with
     D_i = prod_j (w_j - q^2 w_i) over m factors (m = n - 1, or 2n - 2 for
     the reflecting chain) the right side is t q^(2m) conj(D_i)^2/|D_i|^2,
-    and t q^(2m) is one of 1, q^2, q^4.  The stored roots, q, q^2 w_i and
-    z_i enter at scale S = precision + GUARD_BITS + 4 +
-    max(0, -min_i mag(w_i)) (see _fixed_roots), so the factors are exact
-    int differences.  One running product D_i per root is cut back to S
-    bits after every complex multiply, a relative error below 2^(1.5 - S)
-    each, which conj(D_i)/D_i doubles; the phase is rounded below 2^-S;
-    the quotient is one int division, rounded down to at least S + 1 bits,
-    below 2^-S; and z_i^P comes by binary powering (_power), whose
-    squarings double every error before them.  So, to first order and
-    relative to the same formula evaluated exactly on those rounded ints,
-    the right side is within (6m + 2) 2^-S and z_i^P within 7 P 2^-S.  The
-    defect is the exact difference of the two, aligned to the smaller
-    exponent; only the worst |defect|^2 converts to mpmath.
+    and t q^(2m) is one of 1, q^2, q^4.  The stored roots, q and q^2 w_i
+    enter at scale S = precision + GUARD_BITS + 4 + max(0, -min_i mag(w_i))
+    (see _fixed_roots), so the factors are exact int differences, and each
+    z_i is within 2^(1 - S) of its exact value on those ints.  One running
+    product D_i per root is cut back to S bits after every complex
+    multiply, a relative error below 2^(1.5 - S) each, which
+    conj(D_i)^2/|D_i|^2 doubles; the phase is rounded below 2^-S;
+    t conj(D_i)^2 and |D_i|^2 are exact ints, and their quotient is one
+    int division (_quotient), rounded down to at least S + 1 bits, below
+    2^-S; and z_i^P comes by binary powering (_power), whose squarings
+    double every error before them.  So, to first order and relative to
+    the same formula evaluated exactly on those rounded ints, the right
+    side is within (6m + 2) 2^-S and z_i^P within 8 P 2^-S.  The defect is
+    the exact difference of the two, aligned to the smaller exponent; only
+    the worst |defect|^2 converts to mpmath.
     """
     n = rs.n
     prec = rs.precision + GUARD_BITS
@@ -389,7 +388,7 @@ def bethe_residual(rs: RootSet):
     for i in range(n):
         vr, vi = q2w[i]
         # D starts at scale S and takes one factor at scale S each step; its
-        # scale cancels in conj(D)/D.  The cut is inlined here, the one
+        # scale cancels in conj(D)^2/|D|^2.  The cut is inlined here, the one
         # O(n^2) loop.
         dr, di = one, 0
         for j, x in enumerate(ws):
@@ -400,7 +399,8 @@ def bethe_residual(rs: RootSet):
             k = (abs(dr) | abs(di)).bit_length() - S
             if k > 0:
                 dr, di = dr >> k, di >> k
-        ur, ui, ue = _quotient(tr * dr + ti * di, ti * dr - tr * di, dr, di, S, -S)
+        cr, ci = tr * dr + ti * di, ti * dr - tr * di  # t conj(D)
+        ur, ui, ue = _quotient(cr * dr + ci * di, ci * dr - cr * di, dr * dr + di * di, S, -S)
         pr, pi, pe = _power(zs[i], power, S)
         e = min(pe, ue)
         er = (pr << (pe - e)) - (ur << (ue - e))
@@ -418,17 +418,18 @@ def energy(rs: RootSet):
     for the reflecting chain; an mpf at precision + GUARD_BITS.
 
     For real w, |z| = 1 and z + 1/z = 2 Re z, so E = L'/4 - n - 2 sum Re z_i.
-    At the scale S of bethe_residual each z_i is one int division, its real
-    part below 2^(-1 - S) off, and the sum is exact and cut once to S bits:
-    E is within n 2^-S + 2^(1 - S) |E| of that formula evaluated exactly on
-    the rounded ints.
+    At the scale S of bethe_residual each Re z_i is an exact int over one
+    int division, below 2^(-2 - S) off (see _fixed_roots), and the sum is
+    exact and cut once to S bits (_normal with im = 0): E is within
+    n 2^(-1 - S) + 2^(1 - S) |E| of that formula evaluated exactly on the
+    rounded ints.
     """
     prec = rs.precision + GUARD_BITS
     S, *_, zs = _fixed_roots(rs.bethe_roots, prec)
     lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
     terms = [(4 * rs.n - lfac, -2), *((zr, ze + 1) for zr, _, ze in zs)]
     e = min(te for _, te in terms)
-    x, e = _cut(sum(t << te - e for t, te in terms), e, S)
+    x, _, e = _normal(sum(t << te - e for t, te in terms), 0, e, S)
     with mp.workprec(prec):
         return -mp.mpf((x, e))
 
@@ -489,7 +490,7 @@ def _ordered_sum(pairs, slots, bits: int, prec: int):
 
 def _closed_pairs(ws, q2w, S: int):
     """(w_u - q^2 w_v)/(w_u - w_v) for u != v at scale S."""
-    return [[_quotient_by_real(x - yr, -yi, x - y, S) if u != v else None
+    return [[_quotient(x - yr, -yi, x - y, S) if u != v else None
              for v, (y, (yr, yi)) in enumerate(zip(ws, q2w))]
             for u, x in enumerate(ws)]
 
@@ -497,12 +498,13 @@ def _closed_pairs(ws, q2w, S: int):
 def _perm_sum(rs: RootSet, amp_power: int):
     """Sum over orderings of prod_k amp_(x_k)^(n-1-k) prod_{a<b}
     (w_a - q^2 w_b)/(w_b - w_a), amp = 1/(q z^amp_power), over the Bethe
-    roots, taken with both signs flipped: the closed pairs and -amp =
-    -conj(q)/z^amp_power each flip every product by (-1)^(n(n-1)/2)."""
+    roots, taken with both signs flipped: the closed pairs and
+    -amp = -conj(q) conj(z)^amp_power (|q| = |z| = 1), one multiply with no
+    division, each flip every product by (-1)^(n(n-1)/2)."""
     n, prec = rs.n, rs.precision + GUARD_BITS
     S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.bethe_roots, prec + (factorial(n) - 1).bit_length())
     powers = (_power(z, amp_power, S) for z in zs)
-    amps = [_quotient(-h, r, zr, zi, S, -S - ze) for zr, zi, ze in powers]
+    amps = [_mul((-h, r, -S), (zr, -zi, ze), S) for zr, zi, ze in powers]
     slots = [[_power(a, n - 1 - k, S) for a in amps] for k in range(n)]
     return _ordered_sum(_closed_pairs(ws, q2w, S), slots, S, prec)
 
@@ -545,13 +547,13 @@ def wavefunction_component(rs: RootSet, positions):
         raise ValueError("positions must lie in 1..L")
     prec, reflecting = rs.precision + GUARD_BITS, rs.boundary is Boundary.REFLECTING
     terms = factorial(n) << n if reflecting else factorial(n)
-    S, ws, _, q2w, qw1, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
+    S, ws, (_, r), q2w, _, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
     closed = _closed_pairs(ws, q2w, S)
     if not reflecting:
         return _ordered_sum(closed, [[_power(z, x, S) for z in zs] for x in positions], S, prec)
-    # index v - n is the mirror of v
-    consts = [_quotient_by_real(-ar, -ai, w - ws[v - n], S)
-              for v, (w, (ar, ai)) in enumerate(zip(ws, qw1))]
+    # (1 - q w_v)/(w_v - w_v'); index v - n is the mirror of v
+    consts = [_quotient((1 << S) - (w >> 1), -(r * w >> S), w - ws[v - n], S)
+              for v, w in enumerate(ws)]
     slots = [[_mul(c, _power(zs[v - n], rs.L - x, S), S) for v, c in enumerate(consts)]
              for x in positions]
     pairs = [[_mul(closed[v][u - n], closed[v - n][u - n], S) if (u - v) % n else None
@@ -576,24 +578,26 @@ def reflecting_double_product(rs: RootSet):
                     / prod_i (w_i^2 - w_i + 1)^(2(n-1))
 
     over the 2n stored roots.  At the scale S of bethe_residual each factor
-    is an exact int.  The 2n(n - 1) factors above and the 2n of
-    G = prod_i (w_i^2 - w_i + 1) are cut to S bits after each multiply
-    (below 2^(1 - S) relative), G^(2(n-1)) is the exact power of the cut G,
-    cut once, and the quotient is one int division, so to first order the
-    product is within 12 n^2 2^-S of the formula on the rounded ints.
+    is an exact int, and _fixed_roots supplies each w_i^2 - w_i + 1 (its g).
+    The 2n(n - 1) factors above and the 2n of G = prod_i (w_i^2 - w_i + 1)
+    are cut to S bits after each multiply (_normal with im = 0, below
+    2^(1 - S) relative), G^(2(n-1)) is the exact power of the cut G, cut
+    once, and the quotient is one int division (_quotient), so to first
+    order the product is within 12 n^2 2^-S of the formula on the rounded
+    ints.
     """
     if rs.boundary is not Boundary.REFLECTING:
         raise ValueError("needs a reflecting RootSet")
     n, prec = rs.n, rs.precision + GUARD_BITS
-    S, ws, *_ = _fixed_roots(rs.roots, prec)
+    S, ws, _, _, gs, _ = _fixed_roots(rs.roots, prec)
     num, ne = 3 ** (2 * n * (n - 1)), 0
     for i, x in enumerate(ws):
         for y in ws[i + 1:i + n] + ws[i + n + 1:]:  # j > i, j != i + n
-            num, ne = _cut(num * (x * x + x * y + y * y), ne - 2 * S, S)
+            num, _, ne = _normal(num * (x * x + x * y + y * y), 0, ne - 2 * S, S)
     g, ge = 1, 0
-    for x in ws:
-        g, ge = _cut(g * (x * x - (x << S) + (1 << 2 * S)), ge - 2 * S, S)
-    den, de = _cut(g ** (2 * n - 2), ge * (2 * n - 2), S)
-    x, _, e = _quotient_by_real(num, 0, den, S, ne - de)
+    for x in gs:
+        g, _, ge = _normal(g * x, 0, ge - 2 * S, S)
+    den, _, de = _normal(g ** (2 * n - 2), 0, ge * (2 * n - 2), S)
+    x, _, e = _quotient(num, 0, den, S, ne - de)
     with mp.workprec(prec):
         return mp.mpf((x, e))

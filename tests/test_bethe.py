@@ -65,6 +65,20 @@ class TestVariableChange:
         # w = 1 maps to z = (q - 1)/(q - 1) = 1
         assert abs(to_z(mp.mpf(1), 128) - 1) < mp.mpf(2) ** -120
 
+    @pytest.mark.parametrize("precision", [128, 256, 4096])
+    @pytest.mark.parametrize("n", [1, 4, 10, 20])
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_fixed_point_z_within_its_bound(self, boundary, n, precision):
+        # the closed-form z of _fixed_roots lands within 2^(1 - S) of
+        # (q - w)/(q w - 1) on the same rounded int w; 2^(0.27 - S) at worst
+        rs = groundstate_roots(boundary, n, precision)
+        S, ws, *_, zs = bethe._fixed_roots(rs.roots, precision + bethe.GUARD_BITS)
+        assert len(zs) == len(rs.roots)
+        with mp.workprec(2 * S + 64):
+            for x, (zr, zi, e) in zip(ws, zs):
+                want = to_z(mp.mpf((x, -S)), mp.prec)
+                assert abs(mp.mpc(mp.mpf((zr, e)), mp.mpf((zi, e))) - want) <= mp.mpf(2) ** (1 - S)
+
 
 class TestSolveRoots:
     @pytest.mark.parametrize("boundary", list(Boundary))
@@ -673,10 +687,12 @@ class TestComponentSums:
         # ceil(log2 12!) = 29 extra bits in its scale it lands at 2^-316.2
         # relative, where the rounding of the roots themselves sets the
         # floor; a fixed 16 extra bits leave it at 2^-312.3, none at 2^-295.
+        # The large sum lands at 2^-315.1 relative to A_12^2.
         rs = solve_roots(elem_periodic(12), 256)
         a = asm_count(12)
         with mp.workprec(512):
             assert abs(component_sum_small(rs) - a) <= mp.mpf(2) ** -314 * a
+            assert abs(component_sum_large(rs) - a * a) <= mp.mpf(2) ** -314 * a * a
 
 
 class TestOrderedSum:
