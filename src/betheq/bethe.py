@@ -11,10 +11,11 @@ full pass at the working scale of solve_roots.  Exact int signs of the
 polynomial certify the result: a sign change across each root's
 enclosure proves n simple real roots, one in each enclosure.  They are
 checked again by the Bethe-equation residual and (downstream) by exact
-diagonalization.  Every value read off the roots (residual, energy,
-ordered sums and the reflecting product) runs on Python ints from one int
-per root (_fixed_roots), in one block-float format: (re, im, e) for
-(re + i im) 2^e, with im = 0 for the real energy and product.  As |z| = 1
+diagonalization.  Every value read off the roots runs on Python ints, in
+one block-float format: (re, im, e) for (re + i im) 2^e, with im = 0 for
+the real energy and product.  The residual, energy and ordered sums take
+one int per root w (_fixed_roots); the reflecting product takes one int
+per certified wt-root, the values the signs checked.  As |z| = 1
 for real w, every reciprocal of z or q is a conjugate and every
 denominator a real norm, so one kernel (_quotient) divides, by a real int.
 Each value states its rounding bound.  mpmath runs only at the module's
@@ -75,13 +76,13 @@ class RootSet:
 
     The roots are real and ascending, held as mpf.
     For the reflecting boundary, wt_roots holds the n roots in the
-    wt = w + 1/w variable and roots holds the 2n split values with
-    roots[i + n] = 1/roots[i] exactly by construction.  Before rounding,
-    each root (each wt for reflecting) was within 2^(20 - precision) of
-    one simple root of Q, relative, a different one for each;
-    certified_scale is the fixed-point scale of the Aberth pass whose
-    roots the signs certified, and iterations counts that pass's
-    iterations.
+    wt = w + 1/w variable, exactly the values the signs certified, and
+    roots holds the 2n split values with roots[i + n] = 1/roots[i], all
+    rounded to precision + GUARD_BITS.  Before rounding, each root (each
+    wt for reflecting) was within 2^(20 - precision) of one simple root of
+    Q, relative, a different one for each; certified_scale is the
+    fixed-point scale of the Aberth pass whose roots the signs certified,
+    and iterations counts that pass's iterations.
     """
 
     boundary: Boundary
@@ -115,16 +116,16 @@ def _starts(boundary: Boundary, n: int):
     return starts
 
 
-def _aberth(coeffs, roots, prec: int, scale: int):
-    """All roots of a monic polynomial with exact coefficients (lowest
-    degree first), all of them real, by Aberth-Ehrlich iteration from real
-    start roots in fixed point: a value is a Python int times 2^-scale, and
-    one ulp is 2^-scale.
+def _aberth(ints, roots, prec: int, scale: int):
+    """All roots of a polynomial D Q, Q monic, given by its int
+    coefficients (lowest degree first, D = ints[-1] > 0), all of them
+    real, by Aberth-Ehrlich iteration from real start roots in fixed point:
+    a value is a Python int times 2^-scale, and one ulp is 2^-scale.
 
-    Returns the roots and the number of iterations.  Each coefficient is
-    rounded down to the scale once.  Horner's rule gives p(x_i), p'(x_i)
-    and S(x_i) = sum_{k<=n} |x_i|^k in one loop, each product rounded down
-    by a shift; the step is p / (p' - p sum_{j != i} 1/(x_i - x_j)),
+    Returns the roots and the number of iterations.  Each coefficient c/D
+    of Q is rounded down to the scale once, as (c << scale) // D.  Horner's
+    rule gives p(x_i), p'(x_i) and S(x_i) = sum_{k<=n} |x_i|^k in one loop,
+    each product rounded down by a shift; the step is p / (p' - p sum_{j != i} 1/(x_i - x_j)),
     rounded to the nearest ulp.  Root i stops moving once that step is at
     most 2^(4 - prec) |x_i|, or once |p(x_i)| <= 3 S(x_i) ulp.  That is the
     rounding floor: each shift is off by less than one ulp and each
@@ -135,8 +136,8 @@ def _aberth(coeffs, roots, prec: int, scale: int):
     p' equal to p times the sum) and the cap of 64 + prec/2 iterations
     raise NonConvergenceError.
     """
-    n = len(coeffs) - 1
-    cs = [(c.numerator << scale) // c.denominator for c in reversed(coeffs)]
+    n, den = len(ints) - 1, ints[-1]
+    cs = [(c << scale) // den for c in reversed(ints)]
     one, lead, unit = cs[0], cs[1:], 1 << 2 * scale
     rel = prec - 4
     roots = list(roots)
@@ -217,36 +218,37 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     """Find and certify all roots of a groundstate Q-polynomial at the
     given precision (bits); all of them must be real.
 
-    With extra = ceil(log2 max|c_k|), the ladder runs _aberth from the arc
-    starts (_starts) at precision p = 53, 106, ... and scale p + extra
-    while p < precision + GUARD_BITS, then the full pass at precision and
-    scale precision + GUARD_BITS + extra, each pass from the last one's
-    roots.  The full pass only polishes.  The signs of Q cleared of
-    denominators (_uncertified) must then put one root of Q within
+    Q cleared of denominators is D Q with int coefficients.  With
+    extra = ceil(log2 max|c_k|) over the coefficients c_k of Q, the ladder
+    runs _aberth on D Q from the arc starts (_starts) at precision
+    p = 53, 106, ... and scale p + extra while p < precision + GUARD_BITS,
+    then the full pass at precision and scale precision + GUARD_BITS +
+    extra, each pass from the last one's roots.  The full pass only
+    polishes.  The signs of D Q (_uncertified) must then put one root of Q within
     2^(20 - precision) of each root, relative, and a different one for
     each.  While some root fails, one more full pass runs at twice the
     last one's precision, at most MAX_DOUBLINGS times; after that, or when
     a pass stalls, NonConvergenceError.  The returned roots are rounded to
-    precision + GUARD_BITS.  For the reflecting boundary each wt-root is
-    split through w^2 - wt w + 1 = 0 in ints, w = (wt + isqrt(wt^2 - 4))/2,
-    keeping the branch w >= 1; the mirror branch is stored as the exact
+    precision + GUARD_BITS.  For the reflecting boundary the wt-roots are
+    returned as the signs certified them, exactly, and each is split
+    through w^2 - wt w + 1 = 0 in ints, w = (wt + isqrt(wt^2 - 4))/2,
+    keeping the branch w >= 1; the mirror branch is stored as the
     reciprocal.
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
     n = qp.n
-    coeffs = qp.coeffs
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    top = max(abs(c) for c in coeffs)
-    extra = (-(-top.numerator // top.denominator) - 1).bit_length()  # ceil(log2 top), top >= 1
+    den = math.lcm(*(e.denominator for e in qp.evalues))
+    ints = [c.numerator * (den // c.denominator) for c in qp.coeffs]
+    # ceil(log2 max|c_k|) for the monic c_k = ints[k]/den, of which one is 1
+    extra = (-(-max(map(abs, ints)) // den) - 1).bit_length()
     roots, at, prec = _starts(qp.boundary, n), 53, 53
     while prec < precision + GUARD_BITS:
-        roots, _ = _aberth(coeffs, [x << prec + extra - at for x in roots], prec, prec + extra)
+        roots, _ = _aberth(ints, [x << prec + extra - at for x in roots], prec, prec + extra)
         prec, at = 2 * prec, prec + extra
     for prec in (precision << k for k in range(MAX_DOUBLINGS + 1)):
         scale = prec + GUARD_BITS + extra
-        roots, iterations = _aberth(coeffs, [x << scale - at for x in roots], prec, scale)
+        roots, iterations = _aberth(ints, [x << scale - at for x in roots], prec, scale)
         roots.sort()
         at = scale
         uncertified = _uncertified(ints, roots, scale, precision)
@@ -260,11 +262,12 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
         )
     wt = None
     if qp.boundary is Boundary.REFLECTING:
-        wt, roots = roots, [(t + isqrt(t * t - (4 << 2 * scale))) >> 1 for t in roots]
+        with mp.workprec(max((t.bit_length() for t in roots), default=1)):  # the full mantissa
+            wt = tuple(mp.mpf((t, -scale)) for t in roots)
+        roots = [(t + isqrt(t * t - (4 << 2 * scale))) >> 1 for t in roots]
     with mp.workprec(precision + GUARD_BITS):
         roots = tuple(mp.mpf((x, -scale)) for x in roots)
         if wt is not None:
-            wt = tuple(mp.mpf((t, -scale)) for t in wt)
             roots += tuple(1 / w for w in roots)
         rs = RootSet(
             boundary=qp.boundary,
@@ -296,6 +299,13 @@ def _mul(a, b, bits: int):
     return _normal(ar * br - ai * bi, ar * bi + ai * br, ae + be, bits)
 
 
+def _sum(values, bits: int):
+    """The exact sum of block floats, cut to the given bit length."""
+    e = min(v[2] for v in values)
+    return _normal(sum(x << ve - e for x, _, ve in values),
+                   sum(y << ve - e for _, y, ve in values), e, bits)
+
+
 def _power(z, power: int, bits: int):
     """z^power (power >= 0) by binary powering, cut to bits after each step."""
     p = z if power else (1, 0, 0)
@@ -319,10 +329,11 @@ def _quotient(ar, ai, b, bits: int, e: int = 0):
 def _fixed_roots(roots, bits: int):
     """The scale S = bits + 4 + max(0, -min_i mag(w_i)), each real root w as
     one int at S, q = (h + i r) 2^-S as (h, r), q^2 w at S as an (re, im)
-    int pair (one real-by-complex multiply), g = |q w - 1|^2 = w^2 - w + 1
-    as an int at 2S, and the block floats
+    int pair (one real-by-complex multiply), and the block floats
 
-        z = (q - w)/(q w - 1) = (4w - w^2 - 1 + i sqrt(3) (w^2 - 1)) / (2g).
+        z = (q - w)/(q w - 1) = (4w - w^2 - 1 + i sqrt(3) (w^2 - 1)) / (2g)
+
+    with g = |q w - 1|^2 = w^2 - w + 1, an int at 2S.
 
     As 2^(mag(w) - 2) <= |w| <= 2^mag(w), truncating w errs by less than a
     quarter of its own last bit, however small the root.  r and each part
@@ -339,7 +350,7 @@ def _fixed_roots(roots, bits: int):
     gs = [x2 - (x << S) + one for x, x2 in zip(ws, squares)]
     zs = [_quotient((x << S + 2) - x2 - one, r * (x2 - one) >> S - 1, g, S, -1)
           for x, x2, g in zip(ws, squares, gs)]
-    return S, ws, (h, r), q2w, gs, zs
+    return S, ws, (h, r), q2w, zs
 
 
 def bethe_residual(rs: RootSet):
@@ -376,7 +387,7 @@ def bethe_residual(rs: RootSet):
     """
     n = rs.n
     prec = rs.precision + GUARD_BITS
-    S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.roots, prec)
+    S, ws, (h, r), q2w, zs = _fixed_roots(rs.roots, prec)
     one = 1 << S
     # t q^(2m) = q^(2k); t = q^4 adds 2 to k for the twisted chain
     if rs.boundary is Boundary.REFLECTING:
@@ -420,25 +431,16 @@ def energy(rs: RootSet):
     For real w, |z| = 1 and z + 1/z = 2 Re z, so E = L'/4 - n - 2 sum Re z_i.
     At the scale S of bethe_residual each Re z_i is an exact int over one
     int division, below 2^(-2 - S) off (see _fixed_roots), and the sum is
-    exact and cut once to S bits (_normal with im = 0): E is within
+    exact and cut once to S bits (_sum, with im = 0): E is within
     n 2^(-1 - S) + 2^(1 - S) |E| of that formula evaluated exactly on the
     rounded ints.
     """
     prec = rs.precision + GUARD_BITS
     S, *_, zs = _fixed_roots(rs.bethe_roots, prec)
     lfac = rs.L - 1 if rs.boundary is Boundary.REFLECTING else rs.L
-    terms = [(4 * rs.n - lfac, -2), *((zr, ze + 1) for zr, _, ze in zs)]
-    e = min(te for _, te in terms)
-    x, _, e = _normal(sum(t << te - e for t, te in terms), 0, e, S)
+    x, _, e = _sum([(4 * rs.n - lfac, 0, -2), *((zr, 0, ze + 1) for zr, _, ze in zs)], S)
     with mp.workprec(prec):
         return -mp.mpf((x, e))
-
-
-def _sum(values, bits: int):
-    """The exact sum of block floats, cut to the given bit length."""
-    e = min(v[2] for v in values)
-    return _normal(sum(x << ve - e for x, _, ve in values),
-                   sum(y << ve - e for _, y, ve in values), e, bits)
 
 
 def _ordered_sum(pairs, slots, bits: int, prec: int):
@@ -502,7 +504,7 @@ def _perm_sum(rs: RootSet, amp_power: int):
     -amp = -conj(q) conj(z)^amp_power (|q| = |z| = 1), one multiply with no
     division, each flip every product by (-1)^(n(n-1)/2)."""
     n, prec = rs.n, rs.precision + GUARD_BITS
-    S, ws, (h, r), q2w, _, zs = _fixed_roots(rs.bethe_roots, prec + (factorial(n) - 1).bit_length())
+    S, ws, (h, r), q2w, zs = _fixed_roots(rs.bethe_roots, prec + (factorial(n) - 1).bit_length())
     powers = (_power(z, amp_power, S) for z in zs)
     amps = [_mul((-h, r, -S), (zr, -zi, ze), S) for zr, zi, ze in powers]
     slots = [[_power(a, n - 1 - k, S) for a in amps] for k in range(n)]
@@ -547,7 +549,7 @@ def wavefunction_component(rs: RootSet, positions):
         raise ValueError("positions must lie in 1..L")
     prec, reflecting = rs.precision + GUARD_BITS, rs.boundary is Boundary.REFLECTING
     terms = factorial(n) << n if reflecting else factorial(n)
-    S, ws, (_, r), q2w, _, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
+    S, ws, (_, r), q2w, zs = _fixed_roots(rs.roots, prec + (terms - 1).bit_length())
     closed = _closed_pairs(ws, q2w, S)
     if not reflecting:
         return _ordered_sum(closed, [[_power(z, x, S) for z in zs] for x in positions], S, prec)
@@ -563,41 +565,49 @@ def wavefunction_component(rs: RootSet, positions):
 
 def reflecting_double_product(rs: RootSet):
     """The double product prod_i prod_j (1 + z_i + z_i z_j) over the 2n
-    reflecting variables, excluding j = i and the mirror j = i +- n by
-    index, so that rounding cannot drop factors; an mpf at precision +
-    GUARD_BITS.
+    reflecting variables w_1..w_n, 1/w_1..1/w_n, excluding j = i and the
+    mirror of i; an mpf at precision + GUARD_BITS, read off the n certified
+    wt-roots.
 
     Each factor is (1 - 2q)(w_i - q^2 w_j)/((q w_i - 1)(q w_j - 1)) (see
     conjectures._double_product) and (1 - 2q)^2 = -3.  For real w,
-    (w_i - q^2 w_j)(w_j - q^2 w_i) = -q^2 (w_i^2 + w_i w_j + w_j^2) and
-    |q w - 1|^2 = w^2 - w + 1, and over the mirror pairs
-    prod_i (q w_i - 1) = q^n prod_i (1 - wt_i), so the phases cancel and the
-    product is
+    (w_i - q^2 w_j)(w_j - q^2 w_i) = -q^2 f(w_i, w_j) with
+    f(x, y) = x^2 + x y + y^2, and |q w - 1|^2 = g(w) = w^2 - w + 1; over
+    the mirror pairs prod_i (q w_i - 1) = q^n prod_i (1 - wt_i), so the
+    phases cancel and the product over the 2n roots is
 
-        3^(2n(n-1)) prod_{i<j, j != i+n} (w_i^2 + w_i w_j + w_j^2)
-                    / prod_i (w_i^2 - w_i + 1)^(2(n-1))
+        3^(2n(n-1)) prod_{i<j, j != i+n} f(w_i, w_j) / prod_i g(w_i)^(2(n-1)).
 
-    over the 2n stored roots.  At the scale S of bethe_residual each factor
-    is an exact int, and _fixed_roots supplies each w_i^2 - w_i + 1 (its g).
-    The 2n(n - 1) factors above and the 2n of G = prod_i (w_i^2 - w_i + 1)
-    are cut to S bits after each multiply (_normal with im = 0, below
-    2^(1 - S) relative), G^(2(n-1)) is the exact power of the cut G, cut
-    once, and the quotient is one int division (_quotient), so to first
-    order the product is within 12 n^2 2^-S of the formula on the rounded
-    ints.
+    With s = w + 1/w, the four mirror factors of a pair of roots multiply
+    to a square, f(w_a, w_b) f(w_a, 1/w_b) f(1/w_a, w_b) f(1/w_a, 1/w_b) =
+    (s_a^2 + s_a s_b + s_b^2 - 3)^2, and g(w) g(1/w) = (s - 1)^2, so it is
+
+        prod_{a<b} [9 (s_a^2 + s_a s_b + s_b^2 - 3) / ((s_a - 1)(s_b - 1))^2]^2
+
+    over the n wt-roots, a symmetric function of them: s^2 + s t + t^2 - 3
+    = (T(s) - T(t))/(s - t) with T(s) = s^3 - 3s.
+
+    Each wt enters as an int at S = precision + GUARD_BITS + 4, truncated
+    (wt > 2, so no tiny root needs more bits).  Each pair's
+    (9 (s^2 + s t + t^2 - 3))^2 and ((s - 1)(t - 1))^4 are exact ints; the running numerator and
+    denominator are each cut to S bits after every pair (_normal with
+    im = 0, below 2^(1 - S) relative), and the quotient is one int
+    division (_quotient), so to first order the product is within
+    n^2 2^(1 - S) of the formula on those ints.  Their truncation moves it
+    by less than 5.5 n^2 2^-S more from its value on the certified wt.
     """
     if rs.boundary is not Boundary.REFLECTING:
         raise ValueError("needs a reflecting RootSet")
-    n, prec = rs.n, rs.precision + GUARD_BITS
-    S, ws, _, _, gs, _ = _fixed_roots(rs.roots, prec)
-    num, ne = 3 ** (2 * n * (n - 1)), 0
-    for i, x in enumerate(ws):
-        for y in ws[i + 1:i + n] + ws[i + n + 1:]:  # j > i, j != i + n
-            num, _, ne = _normal(num * (x * x + x * y + y * y), 0, ne - 2 * S, S)
-    g, ge = 1, 0
-    for x in gs:
-        g, _, ge = _normal(g * x, 0, ge - 2 * S, S)
-    den, _, de = _normal(g ** (2 * n - 2), 0, ge * (2 * n - 2), S)
+    prec = rs.precision + GUARD_BITS
+    S = prec + 4
+    one = 1 << S
+    ss = [int(mp.ldexp(t, S)) for t in rs.wt_roots]
+    num, ne, den, de = 1, 0, 1, 0
+    for a, s in enumerate(ss):
+        for t in ss[a + 1:]:
+            p = 9 * (s * s + s * t + t * t - (3 << 2 * S))
+            num, _, ne = _normal(num * p * p, 0, ne - 4 * S, S)
+            den, _, de = _normal(den * ((s - one) * (t - one)) ** 4, 0, de - 8 * S, S)
     x, _, e = _quotient(num, 0, den, S, ne - de)
     with mp.workprec(prec):
         return mp.mpf((x, e))

@@ -181,9 +181,23 @@ def _cmd_diag(args) -> int:
     return EXIT_OK
 
 
+def _entries(flag: str, text: str, parse, kind: str) -> list:
+    """The parsed comma-separated entries of a flag's value; a bad entry
+    raises ValueError naming the flag and the entry."""
+    out = []
+    for entry in filter(None, (s.strip() for s in text.split(","))):
+        try:
+            out.append(parse(entry))
+        except ZeroDivisionError:
+            raise ValueError(f"{flag}: {entry!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"{flag}: {entry!r} is not {kind}") from None
+    return out
+
+
 def _cmd_schur(args) -> int:
-    parts = [int(p) for p in args.partition.split(",") if p.strip()]
-    evals = [Fraction(s) for s in args.evalues.split(",") if s.strip()]
+    parts = _entries("--partition", args.partition, int, "an integer")
+    evals = _entries("--evalues", args.evalues, Fraction, "a rational")
     nvars = args.nvars if args.nvars is not None else len(evals) - 1
     table = symfunc.SymTable(evals, nvars)
     value = symfunc.schur_nk(symfunc.Partition(parts), table)

@@ -11,7 +11,8 @@ hypergeometric sums in Fraction arithmetic, the special-value check, and the Abe
 iteration, the coefficient-reconstruction gate, the Bethe residual, the
 energy, the ordered-sum dynamic programme, the wavefunction component and
 the reflecting double product in mpmath arithmetic, with their own q,
-variable change and embedding of Q(q), and the ED sector Hamiltonian
+variable change and embedding of Q(q), the real form of that product over
+the 2n split roots in Fraction arithmetic, and the ED sector Hamiltonian
 built one state at a time, with its dense array.
 """
 
@@ -947,6 +948,26 @@ def reflecting_double_product_mpmath(rs: RootSet):
                     continue
                 total *= 1 + zs[i] + zs[i] * zs[j]
         return total
+
+
+def reflecting_product_split_fraction(ws):
+    """The reflecting double product in its real form over the 2n split
+    roots w_1..w_n, 1/w_1..1/w_n (root i + n the mirror of root i), in
+    Fraction arithmetic:
+
+        3^(2n(n-1)) prod_{i<j, j != i+n} (w_i^2 + w_i w_j + w_j^2)
+                    / prod_i (w_i^2 - w_i + 1)^(2(n-1)).
+    """
+    n = len(ws)
+    roots = [Fraction(w) for w in ws] + [1 / Fraction(w) for w in ws]
+    total = Fraction(3) ** (2 * n * (n - 1))
+    for i, x in enumerate(roots):
+        for j in range(i + 1, 2 * n):
+            if j != i + n:
+                y = roots[j]
+                total *= x * x + x * y + y * y
+        total /= (x * x - x + 1) ** (2 * (n - 1))
+    return total
 
 
 # --- exact diagonalization --------------------------------------------------

@@ -40,6 +40,7 @@ from oracles import (
     perm_sum_mpmath,
     reconstruct_error_mpmath,
     reflecting_double_product_mpmath,
+    reflecting_product_split_fraction,
     to_w,
     to_z,
     wavefunction_component_mpmath,
@@ -131,6 +132,13 @@ def _starts(qp, scale):
     return [x << scale - 53 for x in bethe._starts(qp.boundary, qp.n)]
 
 
+def _ints(qp):
+    """The int polynomial D Q_n, D the lcm of the denominators, that
+    solve_roots passes to _aberth."""
+    den = math.lcm(*(c.denominator for c in qp.coeffs))
+    return [c.numerator * (den // c.denominator) for c in qp.coeffs]
+
+
 class TestAberthStoppingRule:
     @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 6), (Boundary.REFLECTING, 5)])
     def test_stops_at_rounding_floor(self, boundary, n):
@@ -138,7 +146,7 @@ class TestAberthStoppingRule:
         # for these roots, so only the rounding-floor rule or a step that
         # rounds to zero can end the iteration.
         qp = elem_for(boundary, n)
-        roots, iterations = bethe._aberth(qp.coeffs, _starts(qp, 192), 256, 192)
+        roots, iterations = bethe._aberth(_ints(qp), _starts(qp, 192), 256, 192)
         assert iterations < 64 + 8 * 256 // 16
         rs = solve_roots(qp, 256)
         want = rs.wt_roots or rs.roots
@@ -151,9 +159,8 @@ class TestAberthStoppingRule:
         # w^3 + 1 from (0, 1, -1): p'(0) = 0 and the Aberth sum at 0 is 0, so
         # the step p / (p' - p S) at the first root has no denominator; from
         # (0, 1, 1) the sum at root 1 has 1/(1 - 1)
-        coeffs = [Fraction(1), Fraction(0), Fraction(0), Fraction(1)]
         with pytest.raises(NonConvergenceError) as info:
-            bethe._aberth(coeffs, [x << 53 for x in roots], 53, 53)
+            bethe._aberth([1, 0, 0, 1], [x << 53 for x in roots], 53, 53)
         err = info.value
         assert "zero denominator" in str(err)
         assert (err.degree, err.precision, err.iterations, err.correction) == (3, 53, 1, mp.inf)
@@ -192,9 +199,9 @@ def solve_recording_passes(monkeypatch, qp, precision=256, fail=None):
     passes, counts = [], []
     aberth, uncertified = bethe._aberth, bethe._uncertified
 
-    def spy_aberth(coeffs, roots, prec, scale):
+    def spy_aberth(ints, roots, prec, scale):
         start = list(roots)
-        roots, iterations = aberth(coeffs, roots, prec, scale)
+        roots, iterations = aberth(ints, roots, prec, scale)
         if fail and fail[0] == len(passes):
             if isinstance(fail[1], Exception):
                 passes.append((start, prec, scale, None))
@@ -324,9 +331,9 @@ class TestNonConvergence:
     def test_iteration_cap_carries_fields(self):
         # (w - 1)^8: Aberth converges only linearly on an eightfold root,
         # so 90 iterations do not bring the relative step below 2^(4 - 53)
-        coeffs = [Fraction(comb(8, k) * (-1) ** (8 - k)) for k in range(9)]
+        ints = [comb(8, k) * (-1) ** (8 - k) for k in range(9)]
         with pytest.raises(NonConvergenceError) as info:
-            bethe._aberth(coeffs, _starts(elem_periodic(8), 1000), 53, 1000)
+            bethe._aberth(ints, _starts(elem_periodic(8), 1000), 53, 1000)
         err = info.value
         assert "stalled at correction" in str(err)
         assert (err.degree, err.precision, err.iterations) == (8, 53, 64 + 8 * 53 // 16)
@@ -335,9 +342,9 @@ class TestNonConvergence:
     def test_message_is_short_and_keeps_the_exponent(self):
         # the stall of (w - 1)^8 at a worst step of 1.84e-8: a message cut
         # at 160 characters must still read as that
-        coeffs = [Fraction(comb(8, k) * (-1) ** (8 - k)) for k in range(9)]
+        ints = [comb(8, k) * (-1) ** (8 - k) for k in range(9)]
         with pytest.raises(NonConvergenceError) as info:
-            bethe._aberth(coeffs, _starts(elem_periodic(8), 1000), 53, 1000)
+            bethe._aberth(ints, _starts(elem_periodic(8), 1000), 53, 1000)
         message = str(info.value)
         assert len(message) < 160
         assert mpmath.nstr(info.value.correction, 8) in message and "e-8" in message
@@ -489,9 +496,7 @@ class TestReconstructionOracle:
     ], ids=[*(f"{b.value}-{n}" for b in Boundary for n in (4, 10, 20, 45)), *CUBICS])
     def test_agrees_on_the_same_roots(self, monkeypatch, name, qp):
         roots, scale = self.roots_at_scale(monkeypatch, name, qp)
-        coeffs = qp.coeffs
-        den = math.lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * den) for c in coeffs]
+        coeffs, ints = qp.coeffs, _ints(qp)
         verdicts = []
         for moved in (roots, [x + (x >> 140) for x in roots]):
             got = bethe._uncertified(ints, moved, scale, 256)
@@ -632,13 +637,49 @@ class TestEnergyAndProductOracle:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_reflecting_product_to_the_rounding_of_the_roots(self, n):
-        # 3^(2n(n-1)) prod (w_i^2 + w_i w_j + w_j^2) / prod (w_i^2 - w_i + 1)^(2(n-1))
-        # at 256 bits lands at worst 2^-314.7 relative from
-        # A_V(2n+1)^2 N_8(2n)^4 (n = 11)
+        # prod_{a<b} [9 (s_a^2 + s_a s_b + s_b^2 - 3) / ((s_a - 1)(s_b - 1))^2]^2
+        # on the certified wt-roots s at 256 bits lands at worst 2^-316.8
+        # relative from A_V(2n+1)^2 N_8(2n)^4 (n = 10)
         rs = groundstate_roots(Boundary.REFLECTING, n, 256)
         with mp.workprec(512):
             want = mp.mpf(asm_v(2 * n + 1)) ** 2 * mp.mpf(n8(2 * n)) ** 4
             assert abs(reflecting_double_product(rs) - want) <= mp.mpf(2) ** -312 * want
+
+    @staticmethod
+    def pair_product(ss):
+        """prod_{a<b} [9 (s_a^2 + s_a s_b + s_b^2 - 3) / ((s_a - 1)(s_b - 1))^2]^2
+        in Fractions."""
+        total = Fraction(1)
+        for a, s in enumerate(ss):
+            for t in ss[a + 1:]:
+                total *= (9 * (s * s + s * t + t * t - 3) / ((s - 1) * (t - 1)) ** 2) ** 2
+        return total
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pair_product_is_the_split_formula(self, n):
+        # the four mirror factors of a pair multiply to a square and
+        # g(w) g(1/w) = (s - 1)^2, so the 2n-root formula is the pair
+        # product on s = w + 1/w, exactly, for any nonzero rational w
+        rng = random.Random(n)
+        for _ in range(20):
+            ws = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 60), rng.randint(1, 60))
+                  for _ in range(n)]
+            want = reflecting_product_split_fraction(ws)
+            assert self.pair_product([w + 1 / w for w in ws]) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_reflecting_product_rounds_the_pair_product(self, n):
+        # dyadic wt-roots > 2 with 9 fractional bits enter at S exactly, so
+        # only the cuts and the division round: within n^2 2^(1 - S)
+        rng = random.Random(n)
+        ss = [Fraction(rng.randint(2**10 + 1, 2**16), 2**9) for _ in range(n)]
+        rs = replace(groundstate_roots(Boundary.REFLECTING, n, 256),
+                     wt_roots=tuple(mp.mpf(s.numerator) / s.denominator for s in ss))
+        want = self.pair_product(ss)
+        S = 256 + bethe.GUARD_BITS + 4
+        with mp.workprec(1024):
+            want = mp.mpf(want.numerator) / want.denominator
+            assert abs(reflecting_double_product(rs) - want) <= n * n * mp.mpf(2) ** (1 - S) * want
 
     def test_energy_to_the_rounding_of_the_roots(self):
         # E = -3L'/4 exactly on every groundstate; at 256 bits the block

@@ -16,6 +16,7 @@ from betheq.qfunctions import Boundary, QPolynomial
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+VERIFY_ALL_MAX_N_7 = Path(__file__).resolve().parent / "data" / "verify_all_max_n_7.json"
 
 
 def run_capture(capsys, argv):
@@ -114,6 +115,12 @@ class TestVerify:
         data = json.loads(out)
         assert data["equal"] is True
         assert len(data["reports"]) >= 7
+
+    def test_verify_all_is_byte_identical_to_the_recorded_stdout(self, capsys):
+        # every exact and numeric report up to n = 7, as printed
+        code, out = run_capture(capsys, ["verify", "all", "--max-n", "7"])
+        assert code == EXIT_OK
+        assert out.encode() == VERIFY_ALL_MAX_N_7.read_bytes()
 
     def test_conj2_target_prints_exactly(self, capsys):
         code, out = run_capture(capsys, ["verify", "conj2", "--n", "7"])
@@ -239,6 +246,19 @@ class TestSchur:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert "nvars must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--evalues", "1,2/0,1", "--evalues: '2/0' has a zero denominator"),
+        ("--evalues", "1,two,1", "--evalues: 'two' is not a rational"),
+        ("--partition", "2,x", "--partition: 'x' is not an integer"),
+    ])
+    def test_bad_entry_names_the_flag(self, capsys, flag, value, message):
+        argv = {"--partition": "2,1", "--evalues": "1,2,1", flag: value}
+        code = run(["schur", *(x for item in argv.items() for x in item)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_staircase_from_periodic_evalues(self, capsys):
         code, out = run_capture(
