@@ -218,7 +218,7 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     """Find and certify all roots of a groundstate Q-polynomial at the
     given precision (bits); all of them must be real.
 
-    Q cleared of denominators is D Q with int coefficients.  With
+    qp holds Q as the int polynomial D Q, read here as it is.  With
     extra = ceil(log2 max|c_k|) over the coefficients c_k of Q, the ladder
     runs _aberth on D Q from the arc starts (_starts) at precision
     p = 53, 106, ... and scale p + extra while p < precision + GUARD_BITS,
@@ -237,11 +237,9 @@ def solve_roots(qp: QPolynomial, precision: int = DEFAULT_PRECISION) -> RootSet:
     """
     if precision < MIN_PRECISION:
         raise ValueError(f"precision must be at least {MIN_PRECISION} bits")
-    n = qp.n
-    den = math.lcm(*(e.denominator for e in qp.evalues))
-    ints = [c.numerator * (den // c.denominator) for c in qp.coeffs]
-    # ceil(log2 max|c_k|) for the monic c_k = ints[k]/den, of which one is 1
-    extra = (-(-max(map(abs, ints)) // den) - 1).bit_length()
+    n, ints = qp.n, qp.ints
+    # ceil(log2 max|c_k|) for the monic c_k = ints[k]/D, of which one is 1
+    extra = (-(-max(map(abs, ints)) // ints[n]) - 1).bit_length()
     roots, at, prec = _starts(qp.boundary, n), 53, 53
     while prec < precision + GUARD_BITS:
         roots, _ = _aberth(ints, [x << prec + extra - at for x in roots], prec, prec + extra)

@@ -117,20 +117,11 @@ class Cyclo:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Cyclo(-self.a, -self.b)
-
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return Cyclo(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -158,12 +149,6 @@ class Cyclo:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
@@ -190,9 +175,6 @@ class Cyclo:
         if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
 
     def __repr__(self):
         return f"Cyclo({self.a!r}, {self.b!r})"

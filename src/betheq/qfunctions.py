@@ -9,8 +9,10 @@ for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  The weights
 are Python ints, cleared over 3^N N! and reduced by their gcd, and one
 kernel divides that int numerator exactly by (base + x), one factor at a
 time by synthetic division, so a wrong term raises instead of giving a
-wrong polynomial.  The recursion and the binomial summation identities
-behind the closed forms are checked in ints.
+wrong polynomial.  Q_n is held as the int polynomial D Q_n that division
+leaves, with content 1, and every reader takes it as it is.  The
+recursion and the binomial summation identities behind the closed forms
+are checked in ints.
 """
 
 from __future__ import annotations
@@ -49,31 +51,35 @@ class Boundary(str, Enum):
 
 @dataclass(frozen=True)
 class QPolynomial:
-    """Q_n for one boundary condition, held as its e-values.
+    """Q_n for one boundary condition, held as the int polynomial D Q_n.
 
-    The coefficient of w^{n-l} in Q_n(w) is (-1)^l e_l, and coeffs lists
-    them lowest degree first.  For the reflecting boundary the variable is
-    wt = w + 1/w and the e-values are elementary symmetric functions of
-    wt_1..wt_n.
+    ints lists the coefficients of D Q_n, lowest degree first, with
+    content 1, so D = ints[n] > 0 is the lcm of the e-value denominators.
+    The coefficient of w^{n-l} in Q_n(w) is (-1)^l e_l.  For the
+    reflecting boundary the variable is wt = w + 1/w and the e-values are
+    elementary symmetric functions of wt_1..wt_n.
     """
 
     boundary: Boundary
     n: int
-    evalues: tuple
+    ints: tuple
 
     def __post_init__(self):
-        if len(self.evalues) != self.n + 1:
-            raise ValueError("need e_0..e_n")
-        if self.evalues[0] != 1:
-            raise ValueError("e_0 must be 1")
-        if self.boundary is Boundary.PERIODIC and self.evalues[self.n] != 1:
-            raise ValueError("periodic e_n must be 1 (Q_n(0) = (-1)^n)")
+        n, ints = self.n, self.ints
+        if len(ints) != n + 1:
+            raise ValueError("need the n + 1 coefficients of D Q_n")
+        if ints[n] <= 0:
+            raise ValueError("D = ints[n] must be positive")
+        if math.gcd(*ints) != 1:
+            raise ValueError("D Q_n must have content 1")
+        if self.boundary is Boundary.PERIODIC and ints[0] != (-1) ** n * ints[n]:
+            raise ValueError("periodic Q_n(0) must be (-1)^n")
 
     @property
-    def coeffs(self) -> list:
-        """The monic coefficients of Q_n as Fractions, lowest degree first."""
-        n = self.n
-        return [Fraction((-1) ** (n - i) * self.evalues[n - i]) for i in range(n + 1)]
+    def evalues(self) -> tuple:
+        """e_0..e_n as Fractions, e_l = (-1)^l ints[n - l] / D."""
+        n, d = self.n, self.ints[self.n]
+        return tuple(Fraction((-1) ** l * self.ints[n - l], d) for l in range(n + 1))
 
 
 def _falling3(t: int, m: int) -> list:
@@ -84,33 +90,38 @@ def _falling3(t: int, m: int) -> list:
     return out
 
 
+def _closed_weights(boundary: Boundary, n: int):
+    """The weight rows u, v of a closed boundary and c = F_(3n-1)(n), ints
+    cleared over 3^n n!: binom(n + t/3, k) = F_(3n+t)(k) / (3^k k!).
+
+    Periodic, from binom(n - 1/3, k) binom(n + 1/3, n - k):
+        u_k = v_k = C(n, k) F_(3n-1)(k) F_(3n+1)(n - k).
+    Twisted, from binom(n - 1/3, k or k - 1) binom(n - 2/3, n - k):
+        u_k = C(n, k) F_(3n-1)(k) F_(3n-2)(n - k),
+        v_k = 3k C(n, k) F_(3n-1)(k - 1) F_(3n-2)(n - k), so v_0 = 0.
+    """
+    periodic = boundary is Boundary.PERIODIC
+    f, g = _falling3(3 * n - 1, n), _falling3(3 * n + 1 if periodic else 3 * n - 2, n)
+    u = [math.comb(n, k) * f[k] * g[n - k] for k in range(n + 1)]
+    v = u if periodic else [3 * k * math.comb(n, k) * f[k - 1] * g[n - k] for k in range(n + 1)]
+    return u, v, f[n]
+
+
 def _rational_form(boundary: Boundary, n: int):
     """The closed rational form of Q_n as (terms, base, power, c), all ints.
 
     For the periodic and twisted boundaries
         Q_n(w) = sum_(a, j) a w^j / ((base + w)^power c),
+    with the weights of _closed_weights,
+        periodic: sum_k (-1)^k u_k ((-1)^n w^(3k+1) + w^(3n-3k)) over (1 + w)^(2n+1),
+        twisted:  sum_k (-1)^k ((-1)^n u_k w^(3k) - v_k w^(3n-3k+2)) over (1 + w)^(2n),
     and for the reflecting boundary, with wt = w + 1/w,
         Q_n(wt) = sum_(a, j) a (w^j - w^-j) / ((w - 1/w) (base + wt)^power c).
     The weights a and c are products of binomials binom(t/3, k), cleared
     over 3^N N! (N = n, or 2n if reflecting) and reduced by their gcd.
     """
     terms = []
-    if boundary is Boundary.PERIODIC:
-        # a_k = (-1)^k binom(n - 1/3, k) binom(n + 1/3, n - k)
-        f, g = _falling3(3 * n - 1, n), _falling3(3 * n + 1, n)
-        for k in range(n + 1):
-            a = (-1) ** k * math.comb(n, k) * f[k] * g[n - k]
-            terms += [((-1) ** n * a, 3 * k + 1), (a, 3 * n - 3 * k)]
-        base, power, c = 1, 2 * n + 1, f[n]
-    elif boundary is Boundary.TWISTED:
-        # (-1)^k binom(n - 2/3, n - k) binom(n - 1/3, k or k - 1); the k - 1
-        # weight carries a factor 3k, so it is 0 at k = 0
-        f, g = _falling3(3 * n - 1, n), _falling3(3 * n - 2, n)
-        for k in range(n + 1):
-            a = (-1) ** k * math.comb(n, k) * g[n - k]
-            terms += [((-1) ** n * a * f[k], 3 * k), (-a * 3 * k * f[k - 1], 3 * n - 3 * k + 2)]
-        base, power, c = 1, 2 * n, f[n]
-    else:
+    if boundary is Boundary.REFLECTING:
         # (-1)^(n+k) binom(2n + 2/3, n -/+ k) binom(2n - 2/3, n +/- k), the second for k > 0
         up, down = _falling3(6 * n + 2, 2 * n), _falling3(6 * n - 2, 2 * n)
         for k in range(n + 1):
@@ -119,6 +130,13 @@ def _rational_form(boundary: Boundary, n: int):
             if k:
                 terms.append((b * up[n + k] * down[n - k], 1 - 3 * k))
         base, power, c = 2, 2 * n, down[2 * n]
+    else:
+        t = int(boundary is Boundary.TWISTED)
+        u, v, c = _closed_weights(boundary, n)
+        for k in range(n + 1):
+            terms += [((-1) ** (n + k) * u[k], 3 * k + 1 - t),
+                      ((-1) ** (k + t) * v[k], 3 * n - 3 * k + 2 * t)]
+        base, power = 1, 2 * n + 1 - t
     d = math.gcd(c, *(a for a, _ in terms))
     return [(a // d, j) for a, j in terms], base, power, c // d
 
@@ -142,10 +160,11 @@ def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
 
     The int numerator (weights over 3^N N!, reduced by their gcd; for the
     reflecting boundary a Chebyshev sum in wt) is divided in place by
-    (base + x), x = w or wt, power times by synthetic division; each
-    e-value is one Fraction of a quotient coefficient over c.  A remainder
-    raises ExactDivisionError, and so does a quotient that is not c times a
-    monic of degree n, so a wrong term cannot return a wrong polynomial.
+    (base + x), x = w or wt, power times by synthetic division.  The
+    quotient is c Q_n; divided by its content it is the D Q_n that
+    QPolynomial holds.  A remainder raises ExactDivisionError, and so does
+    a quotient that is not c times a monic of degree n, so a wrong term
+    cannot return a wrong polynomial.
     """
     terms, base, power, c = _rational_form(boundary, n)
     if boundary is Boundary.REFLECTING:
@@ -174,8 +193,8 @@ def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
         raise ExactDivisionError(
             f"{boundary.value} Q_{n} rational form: quotient is not monic of degree {n}"
         )
-    evalues = tuple(Fraction((-1) ** l * num[n - l], c) for l in range(n + 1))
-    return QPolynomial(boundary, n, evalues)
+    g = math.gcd(*num)
+    return QPolynomial(boundary, n, tuple(x // g for x in num))
 
 
 def elem_periodic(n: int) -> QPolynomial:
@@ -220,13 +239,13 @@ def _convolve(p: list, q: list) -> list:
 def check_recursion_periodic(n: int) -> bool:
     """Exact polynomial identity
     (w+1)^2 (3n+2) Q_{n+1} = 3 (w^3-1)(2n+1) Q_n - (w^2-w+1)^2 (3n+1) Q_{n-1}
-    with all three polynomials built independently from their e-values,
-    each scaled to ints by the lcm of all their coefficient denominators."""
+    with all three polynomials built independently, each D Q_m scaled to
+    ints over the lcm of the three D's."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    qs = [elem_periodic(m).coeffs for m in (n - 1, n, n + 1)]
-    d = math.lcm(*(c.denominator for q in qs for c in q))
-    qm, qn, qp = ([c.numerator * (d // c.denominator) for c in q] for q in qs)
+    qs = [elem_periodic(m).ints for m in (n - 1, n, n + 1)]
+    d = math.lcm(*(q[-1] for q in qs))
+    qm, qn, qp = ([c * (d // q[-1]) for c in q] for q in qs)
     # (w+1)^2, w^3-1 and (w^2-w+1)^2, lowest degree first; all three
     # products have degree n + 3
     lhs = _convolve([(3 * n + 2) * c for c in (1, 2, 1)], qp)
@@ -236,34 +255,29 @@ def check_recursion_periodic(n: int) -> bool:
 
 
 def q_at_qinv(qp: QPolynomial) -> Cyclo:
-    """q^{2n} Q_n(1/q) = sum_l (-1)^l e_l q^{n+l} = sum_l e_l q^{n+4l}
-    (-1 = q^3), exactly in Q(q): q^6 = 1, so the e-values are summed by
-    n + 4l mod 6 and q^0..q^5 = 1, q, q - 1, -1, -q, 1 - q."""
+    """q^{2n} Q_n(1/q) = sum_k c_k q^{2n-k} over the coefficients c_k of
+    D Q_n, divided by D, exactly in Q(q): q^6 = 1, so the c_k are summed by
+    2n - k mod 6 and q^0..q^5 = 1, q, q - 1, -1, -q, 1 - q."""
     s = [0] * 6
-    for l, e in enumerate(qp.evalues):
-        s[(qp.n + 4 * l) % 6] += e
-    return Cyclo(s[0] - s[2] - s[3] + s[5], s[1] + s[2] - s[4] - s[5])
+    for k, c in enumerate(qp.ints):
+        s[(2 * qp.n - k) % 6] += c
+    d = qp.ints[qp.n]
+    return Cyclo(Fraction(s[0] - s[2] - s[3] + s[5], d), Fraction(s[1] + s[2] - s[4] - s[5], d))
 
 
 def _hyp_sides(which: int, n: int):
     """The lower index and the two sides of a hypergeometric identity at
     fixed n.  Each side is a list of (top, weight) pairs for the int sum
-    of int_binom(top + s, bottom) * weight; the weights, products of two
-    binom(n + t/3, k), are cleared over 3^n n! as in _rational_form and do
-    not depend on s."""
+    of int_binom(top + s, bottom) * weight: [(3p - n, u_p)] and
+    [(3p - n + shift, v_(n-p))] over the weight rows of _closed_weights,
+    which do not depend on s.  Identity 1 reads the periodic rows (bottom
+    2n, shift -1), identity 2 the twisted rows (bottom 2n - 1, shift 2)."""
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    # binom(n - 1/3, k) and binom(n + 1/3, k) or binom(n - 2/3, k), times 3^k k!
-    f = _falling3(3 * n - 1, n)
-    g = _falling3(3 * n + 1 if which == 1 else 3 * n - 2, n)
+    u, v, _ = _closed_weights(Boundary.PERIODIC if which == 1 else Boundary.TWISTED, n)
+    bottom, shift = (2 * n, -1) if which == 1 else (2 * n - 1, 2)
     ps = range(n + 1)
-    lhs = [(3 * p - n, math.comb(n, p) * f[p] * g[n - p]) for p in ps]
-    if which == 1:
-        return 2 * n, lhs, [(3 * p - n - 1, math.comb(n, p) * f[n - p] * g[p]) for p in ps]
-    # binom(n - 1/3, n - p - 1) carries a factor 3 (n - p), so it is 0 at p = n
-    return 2 * n - 1, lhs, [
-        (3 * p - n + 2, 3 * (n - p) * math.comb(n, p) * f[n - p - 1] * g[p]) for p in ps
-    ]
+    return bottom, [(3 * p - n, u[p]) for p in ps], [(3 * p - n + shift, v[n - p]) for p in ps]
 
 
 def _hyp_holds(sides, s: int) -> bool:

@@ -5,9 +5,10 @@ takes; they are independent routes to the same values: Schur functions
 from tableaux, Vandermonde ratios and h-values, the lambda-determinant and
 its ASM-sum expansion, a second A_n formula, dense polynomials with
 long division by a monic divisor and the term-by-term Chebyshev expansion
-in wt, a point evaluator for the
-closed rational form of Q_n, that form and its e-values and the two
-hypergeometric sums in Fraction arithmetic, the special-value check, and the Aberth
+in wt, a QPolynomial built from e-values and its monic Fraction
+coefficients, a point evaluator for the closed rational form of Q_n, that
+form and its e-values and the two hypergeometric sums in Fraction
+arithmetic, the special-value check, and the Aberth
 iteration, the coefficient-reconstruction gate, the Bethe residual, the
 energy, the ordered-sum dynamic programme, the wavefunction component and
 the reflecting double product in mpmath arithmetic, with their own q,
@@ -42,6 +43,7 @@ from betheq.ed import (
 from betheq.exact import Cyclo, ExactDivisionError, falling_binom
 from betheq.qfunctions import (
     Boundary,
+    QPolynomial,
     _rational_form,
     elem_periodic,
     q_at_qinv,
@@ -569,6 +571,20 @@ def chebyshev_expand(n: int) -> Poly:
 # --- Q-polynomials ----------------------------------------------------------
 
 
+def qpoly_from_evalues(boundary: Boundary, evalues) -> QPolynomial:
+    """The QPolynomial whose e-values are evalues (e_0 = 1): D Q_n with D
+    the lcm of their denominators, which leaves content 1."""
+    ev = [Fraction(e) for e in evalues]
+    n, d = len(ev) - 1, math.lcm(*(e.denominator for e in ev))
+    return QPolynomial(boundary, n,
+                       tuple(int((-1) ** (n - k) * ev[n - k] * d) for k in range(n + 1)))
+
+
+def monic_coeffs(qp: QPolynomial) -> list:
+    """The coefficients of the monic Q_n as Fractions, lowest degree first."""
+    return [Fraction(c, qp.ints[qp.n]) for c in qp.ints]
+
+
 def q_rational_eval(boundary: Boundary, n: int, w):
     """Evaluate the closed rational form of Q_n at an exact point w.
 
@@ -691,7 +707,7 @@ def check_special_values(n: int) -> bool:
     3^n / (q^{2n} Q_n(1/q))^2 using e_n = 1.
     """
     qp = elem_periodic(n)
-    if Poly(qp.coeffs)(Fraction(0)) != (-1) ** n:
+    if Poly(monic_coeffs(qp))(Fraction(0)) != (-1) ** n:
         return False
     s = q_at_qinv(qp)
     if not s.is_rational or s.a != qinv_product_value(n):

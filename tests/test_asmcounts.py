@@ -1,8 +1,10 @@
 """Product formulas for ASM symmetry class counts against known sequences."""
 
+from fractions import Fraction
+
 import pytest
 
-from betheq.asmcounts import asm_count, asm_ht, asm_v, n8
+from betheq.asmcounts import _as_int, asm_count, asm_ht, asm_v, n8
 from oracles import asm_count_alt
 
 # 1, 1, 2, 7, 42, 429, 7436, 218348, 10850216 is the ASM sequence
@@ -54,3 +56,8 @@ class TestSymmetryClasses:
         assert isinstance(asm_v(2 * n + 1), int)
         assert isinstance(n8(2 * n), int)
         assert isinstance(asm_ht(2 * n - 1), int)
+
+    def test_non_integer_accumulator_raises(self):
+        # a transcription error that leaves a denominator is loud
+        with pytest.raises(ArithmeticError, match=r"A_V\(5\) did not resolve to an integer: 7/2"):
+            _as_int(Fraction(7, 2), "A_V(5)")

@@ -1,6 +1,5 @@
 """High-precision root extraction, certification and root-based sums."""
 
-import math
 import random
 import time
 from dataclasses import replace
@@ -27,7 +26,6 @@ from betheq.bethe import (
 from betheq.conjectures import verify_reflecting_product
 from betheq.qfunctions import (
     Boundary,
-    QPolynomial,
     elem_for,
     elem_periodic,
     elem_reflecting,
@@ -37,7 +35,9 @@ from oracles import (
     aberth_mpmath,
     bethe_residual_mpmath,
     energy_mpmath,
+    monic_coeffs,
     perm_sum_mpmath,
+    qpoly_from_evalues,
     reconstruct_error_mpmath,
     reflecting_double_product_mpmath,
     reflecting_product_split_fraction,
@@ -88,7 +88,7 @@ class TestSolveRoots:
         qp = elem_for(boundary, n)
         rs = solve_roots(qp, PREC)
         with mp.workprec(PREC + 32):
-            coeffs = [mp.mpf(c.numerator) / c.denominator for c in qp.coeffs]
+            coeffs = [mp.mpf(c.numerator) / c.denominator for c in monic_coeffs(qp)]
             targets = rs.wt_roots if boundary is Boundary.REFLECTING else rs.roots
             for r in targets:
                 val = mp.mpc(0)
@@ -132,13 +132,6 @@ def _starts(qp, scale):
     return [x << scale - 53 for x in bethe._starts(qp.boundary, qp.n)]
 
 
-def _ints(qp):
-    """The int polynomial D Q_n, D the lcm of the denominators, that
-    solve_roots passes to _aberth."""
-    den = math.lcm(*(c.denominator for c in qp.coeffs))
-    return [c.numerator * (den // c.denominator) for c in qp.coeffs]
-
-
 class TestAberthStoppingRule:
     @pytest.mark.parametrize("boundary, n", [(Boundary.PERIODIC, 6), (Boundary.REFLECTING, 5)])
     def test_stops_at_rounding_floor(self, boundary, n):
@@ -146,7 +139,7 @@ class TestAberthStoppingRule:
         # for these roots, so only the rounding-floor rule or a step that
         # rounds to zero can end the iteration.
         qp = elem_for(boundary, n)
-        roots, iterations = bethe._aberth(_ints(qp), _starts(qp, 192), 256, 192)
+        roots, iterations = bethe._aberth(qp.ints, _starts(qp, 192), 256, 192)
         assert iterations < 64 + 8 * 256 // 16
         rs = solve_roots(qp, 256)
         want = rs.wt_roots or rs.roots
@@ -183,7 +176,7 @@ class TestMpmathOracle:
         rs = groundstate_roots(boundary, n, 256)
         got = list(rs.wt_roots or rs.roots)
         with mp.workprec(512):
-            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(qp.coeffs)]
+            cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(monic_coeffs(qp))]
             want, _ = aberth_mpmath(cs, [_mpf(x, 53) for x in bethe._starts(boundary, n)], 256)
             for w in want:
                 near = min(got, key=lambda g: abs(g - w))
@@ -289,7 +282,7 @@ class TestFloatSeed:
         # lie far from the groundstate arc, so the first rung stalls at its
         # cap: a structured error, not an overflow.
         a = 10**134
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, (1, 3 * a, -a * a, -3 * a**3))))
+        qp = qpoly_from_evalues(Boundary.TWISTED, (1, 3 * a, -a * a, -3 * a**3))
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(qp, 256)
         assert (info.value.precision, info.value.iterations) == (53, 64 + 8 * 53 // 16)
@@ -371,7 +364,7 @@ class TestStallSizes:
         assert len(values) == n
         with mp.workprec(512):
             tol = mp.mpf(2) ** (20 - 256)
-            assert reconstruct_error_mpmath(qp.coeffs, values) <= tol
+            assert reconstruct_error_mpmath(monic_coeffs(qp), values) <= tol
             for got, want in ((mp.fsum(values), qp.evalues[1]),
                               (mp.fprod(values), qp.evalues[n])):
                 want = mp.mpf(want.numerator) / want.denominator
@@ -408,7 +401,7 @@ class TestLargeCoefficients:
 
     @staticmethod
     def assert_fails_loudly(evalues):
-        qp = QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, evalues)))
+        qp = qpoly_from_evalues(Boundary.TWISTED, evalues)
         start = time.perf_counter()
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(qp, 256)
@@ -439,7 +432,7 @@ class TestLargeCoefficients:
     @pytest.mark.parametrize("evalues", [(1, 0, 1), (1, 2, 3, 10)], ids=["w2+1", "cubic"])
     def test_small_non_real_roots(self, evalues):
         # w^2 + 1 and w^3 - 2w^2 + 3w - 10 (one real root, two non-real)
-        qp = QPolynomial(Boundary.TWISTED, len(evalues) - 1, tuple(map(Fraction, evalues)))
+        qp = qpoly_from_evalues(Boundary.TWISTED, evalues)
         with pytest.raises(NonConvergenceError) as info:
             solve_roots(qp, 256)
         assert info.value.degree == qp.n
@@ -491,12 +484,12 @@ class TestReconstructionOracle:
 
     @pytest.mark.parametrize("name, qp", [
         *((f"{b.value}-{n}", elem_for(b, n)) for b in Boundary for n in (4, 10, 20, 45)),
-        *((name, QPolynomial(Boundary.TWISTED, 3, tuple(map(Fraction, c))))
+        *((name, qpoly_from_evalues(Boundary.TWISTED, c))
           for name, (c, _) in CUBICS.items()),
     ], ids=[*(f"{b.value}-{n}" for b in Boundary for n in (4, 10, 20, 45)), *CUBICS])
     def test_agrees_on_the_same_roots(self, monkeypatch, name, qp):
         roots, scale = self.roots_at_scale(monkeypatch, name, qp)
-        coeffs, ints = qp.coeffs, _ints(qp)
+        coeffs, ints = monic_coeffs(qp), qp.ints
         verdicts = []
         for moved in (roots, [x + (x >> 140) for x in roots]):
             got = bethe._uncertified(ints, moved, scale, 256)

@@ -1,5 +1,7 @@
 """CLI behaviour: output formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import shlex
@@ -240,6 +242,14 @@ class TestSchur:
         assert captured.out == ""
         assert "3 variables need e_0..e_3, got 2 e-values" in captured.err
 
+    def test_nonzero_evalue_beyond_nvars_is_usage_error(self, capsys):
+        # e_2 = 3 cannot belong to one variable
+        code = run(["schur", "--partition", "1", "--evalues", "1,2,3", "--nvars", "1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err == "error: e_2 must vanish beyond 1 variables\n"
+
     def test_negative_nvars_is_usage_error(self, capsys):
         code = run(["schur", "--partition", "2,1", "--evalues", "1,3,3,1", "--nvars", "-1"])
         captured = capsys.readouterr()
@@ -286,6 +296,26 @@ class TestFormats:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert "lhs" in lines[0]
+
+    def test_csv_cell_holds_a_list_as_json(self, capsys):
+        code, out = run_capture(
+            capsys, ["--format", "csv", "roots", "--boundary", "periodic", "--n", "2"]
+        )
+        assert code == EXIT_OK
+        header, row = csv.reader(io.StringIO(out))
+        roots = json.loads(dict(zip(header, row))["roots"])
+        assert [r["im"] for r in roots] == ["0.0", "0.0"]
+        assert float(roots[0]["re"]) * float(roots[1]["re"]) == pytest.approx(1)
+
+    def test_pretty_line_holds_a_list_as_json(self, capsys):
+        code, out = run_capture(
+            capsys, ["--format", "pretty", "verify", "all", "--max-n", "1"]
+        )
+        assert code == EXIT_OK
+        reports, equal = out.splitlines()
+        key, _, value = reports.partition(": ")
+        assert key == "reports" and equal == "equal: True"
+        assert [r["conjecture"] for r in json.loads(value)] == list(conjectures.VERIFIERS)
 
 
 class TestParser:

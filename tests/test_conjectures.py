@@ -133,6 +133,10 @@ class TestComponentSums:
         assert rep.equal
         assert rep.rhs == (asm_count(n), asm_count(n) ** 2)
 
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            verify_component_sums(0)
+
 
 class TestNumericVerdict:
     @pytest.mark.parametrize("verify", [verify_reflecting_product, verify_component_sums])

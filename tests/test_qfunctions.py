@@ -29,8 +29,10 @@ from oracles import (
     evalues_fraction,
     hyp_failures_fraction,
     hyp_sides_fraction,
+    monic_coeffs,
     q_rational_eval,
     qinv_product_value,
+    qpoly_from_evalues,
     rational_form_fraction,
 )
 
@@ -173,11 +175,36 @@ class TestEValues:
             ev = elem_periodic(n).evalues
             assert ev == tuple(reversed(ev))
 
+    @pytest.mark.parametrize("build, n", [
+        (elem_periodic, -1), (elem_twisted, 0), (elem_reflecting, 0), (check_recursion_periodic, 0),
+    ], ids=["periodic", "twisted", "reflecting", "recursion"])
+    def test_rejects_sizes_below_range(self, build, n):
+        with pytest.raises(ValueError, match="n must be"):
+            build(n)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            QPolynomial(Boundary.PERIODIC, 2, (1, 2, 3))
-        with pytest.raises(ValueError):
-            QPolynomial(Boundary.TWISTED, 1, (2, 1))
+        # a wrong length, D <= 0, content 2, and a periodic Q_n(0) != (-1)^n
+        for boundary, n, ints, match in [
+            (Boundary.TWISTED, 2, (1, 2), "n \\+ 1 coefficients"),
+            (Boundary.TWISTED, 1, (1, -1), "positive"),
+            (Boundary.REFLECTING, 1, (0, 0), "positive"),
+            (Boundary.TWISTED, 1, (2, 4), "content 1"),
+            (Boundary.PERIODIC, 2, (1, 2, 3), "Q_n\\(0\\)"),
+            (Boundary.PERIODIC, 1, (1, 1), "Q_n\\(0\\)"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                QPolynomial(boundary, n, ints)
+
+    def test_holds_d_q_with_content_one(self):
+        # D = ints[n] is the lcm of the e-value denominators, and the
+        # e-values read back off D Q_n
+        for boundary in Boundary:
+            for n in _sizes(boundary, 30):
+                qp = elem_for(boundary, n)
+                assert all(type(c) is int for c in qp.ints)
+                assert math.gcd(*qp.ints) == 1
+                assert qp.ints[n] == math.lcm(*(e.denominator for e in qp.evalues))
+                assert qpoly_from_evalues(boundary, qp.evalues) == qp
 
 
 def _sizes(boundary, max_n):
@@ -223,14 +250,14 @@ class TestRationalFormAgreement:
         qp = elem_periodic(n)
         pts = [Fraction(k) for k in range(2, n + 4)]
         got = interpolate([(w, q_rational_eval(Boundary.PERIODIC, n, w)) for w in pts])
-        assert got == Poly(qp.coeffs)
+        assert got == Poly(monic_coeffs(qp))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_twisted(self, n):
         qp = elem_twisted(n)
         pts = [Fraction(k) for k in range(2, n + 4)]
         got = interpolate([(w, q_rational_eval(Boundary.TWISTED, n, w)) for w in pts])
-        assert got == Poly(qp.coeffs)
+        assert got == Poly(monic_coeffs(qp))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_reflecting(self, n):
@@ -241,7 +268,7 @@ class TestRationalFormAgreement:
         samples = [
             (w + 1 / w, q_rational_eval(Boundary.REFLECTING, n, w)) for w in pts
         ]
-        assert interpolate(samples) == Poly(qp.coeffs)
+        assert interpolate(samples) == Poly(monic_coeffs(qp))
 
     def test_int_point_stays_exact(self):
         got = q_rational_eval(Boundary.REFLECTING, 2, 2)
@@ -271,7 +298,7 @@ class TestRecursion:
                 return qp
             ev = list(qp.evalues)
             ev[1] += delta
-            return QPolynomial(qp.boundary, m, tuple(ev))
+            return qpoly_from_evalues(qp.boundary, ev)
 
         monkeypatch.setattr(qfunctions, "elem_periodic", perturbed)
         assert not check_recursion_periodic(n)
@@ -293,7 +320,7 @@ class TestSpecialValues:
         # reference: Horner's rule for Q_n at 1/q, times q^{2n}
         for n in range(1, 13):
             qp = elem_for(boundary, n)
-            assert q_at_qinv(qp) == Q ** (2 * n) * Poly(qp.coeffs)(QINV)
+            assert q_at_qinv(qp) == Q ** (2 * n) * Poly(monic_coeffs(qp))(QINV)
 
     def test_qinv_product_small(self):
         assert qinv_product_value(1) == Fraction(1)

@@ -2,8 +2,9 @@
 itself; every name in a module's __all__ is used by another betheq
 module, by its own module outside its definition, or by the benchmark
 (perfbench/); every public method or property of a betheq class is read
-in betheq outside its own definition or by the benchmark; and the exact
-layer imports neither mpmath nor numpy.  Reference code that only the
+in betheq outside its own definition or by the benchmark; the exact
+layer imports neither mpmath nor numpy; and only the exact layer reads a
+rational's numerator or denominator.  Reference code that only the
 tests call lives in tests/oracles.py."""
 
 import ast
@@ -121,6 +122,19 @@ def test_exact_layer_imports_no_mpmath_or_numpy():
         if name.partition(".")[0] in ("mpmath", "numpy")
         or (name.startswith(".") and name[1:] not in EXACT_LAYER))
     assert leaks == [], f"the exact layer reaches floating point: {leaks}"
+
+
+def test_only_the_exact_layer_reads_rationals_apart():
+    # Q_n reaches the numeric layer as the int polynomial D Q_n that
+    # qfunctions builds; no module outside the exact layer rebuilds it (or
+    # anything else) from numerators and denominators
+    trees = _modules()
+    reads = sorted(
+        f"{module} reads .{node.attr} at line {node.lineno}"
+        for module, tree in trees.items() if module not in EXACT_LAYER
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"))
+    assert reads == [], f"rationals taken apart outside the exact layer: {reads}"
 
 
 def test_package_exports_nothing():

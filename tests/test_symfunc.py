@@ -53,6 +53,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([1, 2])
 
+    def test_rejects_negative_part(self):
+        with pytest.raises(ValueError, match="negative part"):
+            Partition([2, -1])
+
     def test_conjugate_involution(self):
         for p in PARTITIONS:
             assert p.conjugate().conjugate().parts == p.parts
