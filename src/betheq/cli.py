@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -36,12 +35,10 @@ def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         flat = _flatten(payload)
         writer.writerow(flat.keys())
         writer.writerow(flat.values())
-        sys.stdout.write(buf.getvalue())
     else:
         for key, value in _flatten(payload).items():
             print(f"{key}: {value}")

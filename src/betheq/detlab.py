@@ -1,7 +1,8 @@
 """Exact determinants over the rationals.
 
 Matrices are plain lists of lists.  det_exact clears denominators row by
-row and runs one fraction-free Bareiss kernel on Python ints.
+row, runs one fraction-free Bareiss kernel on Python ints and returns a
+Fraction for every input.
 """
 
 from __future__ import annotations
@@ -20,24 +21,22 @@ def _check_square(m):
 
 
 def det_exact(m):
-    """Exact determinant of a square matrix of ints and Fractions.
+    """Exact determinant of a square matrix of ints and Fractions, as a
+    Fraction (Fraction(1) for the empty matrix).
 
     Rows are scaled by the lcm of their denominators and eliminated in
-    ints; the result is divided by the product of the scales (an all-int
-    matrix gives an int).  Any other entry type raises TypeError.
+    ints; the result is divided by the product of the scales.  Any other
+    entry type raises TypeError.
     """
     n = _check_square(m)
     if n == 0:
-        return 1
+        return Fraction(1)
     bad = next((x for row in m for x in row if not isinstance(x, (int, Fraction))), None)
     if bad is not None:
         raise TypeError(f"det_exact works over the rationals, got {type(bad).__name__}")
     scales = [math.lcm(*(x.denominator for x in row)) for row in m]
     a = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(m, scales)]
-    det = _bareiss(a)
-    if any(isinstance(x, Fraction) for row in m for x in row):
-        return Fraction(det, math.prod(scales))
-    return det
+    return Fraction(_bareiss(a), math.prod(scales))
 
 
 def _bareiss(a):

@@ -29,7 +29,10 @@ __all__ = [
     "ArnoldiError",
 ]
 
-MAX_L = 18  # largest L measured to work; see build_hamiltonian
+# largest L measured to work; see build_hamiltonian.  The periodic
+# component ratio is A_n to a relative 5.3e-11 at L = 15 and 3.5e-9 at
+# L = 17 (see rs_observables)
+MAX_L = 18
 DELTA = -0.5
 TWIST_PHI = np.pi / 3
 # +- (q - 1/q)/4 = +- i sqrt(3)/4; the sign is pinned by matching the Bethe
@@ -206,7 +209,12 @@ def groundstate(h, shift_hint=None):
 
 def rs_observables(vec):
     """Ratio of largest to smallest component modulus, and the component
-    sum."""
+    sum.
+
+    On the periodic groundstate of `groundstate` the ratio is A_n to a
+    relative error that grows with L, as the smallest component is about
+    1/A_n of the largest: 5.3e-11 at L = 15 and 3.5e-9 at L = 17.
+    """
     mags = np.abs(vec)
     return {
         "ratio": float(mags.max() / mags.min()),

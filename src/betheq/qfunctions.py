@@ -5,7 +5,8 @@ L = 2n, reflecting with L = 2n) the groundstate Bethe roots are the zeros
 of a polynomial Q_n whose coefficients are, up to sign, elementary
 symmetric function values.  Each boundary has a closed rational form for
 Q_n: a sum of binomially weighted powers of w over a power of (1 + w), or,
-for the reflecting boundary, of (2 + wt) with wt = w + 1/w.  The weights
+for the reflecting boundary, one weighted power w^(3k+1) per signed
+k = -n..n over a power of (2 + wt) with wt = w + 1/w.  The nonzero weights
 are Python ints, cleared over 3^N N! and reduced by their gcd, and one
 kernel divides that int numerator exactly by (base + x), one factor at a
 time by synthetic division, so a wrong term raises instead of giving a
@@ -116,29 +117,29 @@ def _rational_form(boundary: Boundary, n: int):
         periodic: sum_k (-1)^k u_k ((-1)^n w^(3k+1) + w^(3n-3k)) over (1 + w)^(2n+1),
         twisted:  sum_k (-1)^k ((-1)^n u_k w^(3k) - v_k w^(3n-3k+2)) over (1 + w)^(2n),
     and for the reflecting boundary, with wt = w + 1/w,
-        Q_n(wt) = sum_(a, j) a (w^j - w^-j) / ((w - 1/w) (base + wt)^power c).
-    The weights a and c are products of binomials binom(t/3, k), cleared
-    over 3^N N! (N = n, or 2n if reflecting) and reduced by their gcd.
+        Q_n(wt) = sum_(a, j) a (w^j - w^-j) / ((w - 1/w) (base + wt)^power c),
+    one term a = (-1)^(n+k) C(2n, n+k) F_(6n+2)(n-k) F_(6n-2)(n+k) on
+    j = 3k + 1 for each k = -n..n.  The weights a and c are products of
+    binomials binom(t/3, k), cleared over 3^N N! (N = n, or 2n if
+    reflecting) and reduced by their gcd.  Terms of weight 0 are left out;
+    the twisted v_0 is the only one, as no F_t(k) used here has 3 | t.
     """
-    terms = []
     if boundary is Boundary.REFLECTING:
-        # (-1)^(n+k) binom(2n + 2/3, n -/+ k) binom(2n - 2/3, n +/- k), the second for k > 0
+        # (-1)^(n+k) binom(2n + 2/3, n - k) binom(2n - 2/3, n + k) over signed k
         up, down = _falling3(6 * n + 2, 2 * n), _falling3(6 * n - 2, 2 * n)
-        for k in range(n + 1):
-            b = (-1) ** (n + k) * math.comb(2 * n, n + k)
-            terms.append((b * up[n - k] * down[n + k], 3 * k + 1))
-            if k:
-                terms.append((b * up[n + k] * down[n - k], 1 - 3 * k))
+        terms = [((-1) ** (n + k) * math.comb(2 * n, n + k) * up[n - k] * down[n + k], 3 * k + 1)
+                 for k in range(-n, n + 1)]
         base, power, c = 2, 2 * n, down[2 * n]
     else:
         t = int(boundary is Boundary.TWISTED)
         u, v, c = _closed_weights(boundary, n)
+        terms = []
         for k in range(n + 1):
             terms += [((-1) ** (n + k) * u[k], 3 * k + 1 - t),
                       ((-1) ** (k + t) * v[k], 3 * n - 3 * k + 2 * t)]
         base, power = 1, 2 * n + 1 - t
     d = math.gcd(c, *(a for a, _ in terms))
-    return [(a // d, j) for a, j in terms], base, power, c // d
+    return [(a // d, j) for a, j in terms if a], base, power, c // d
 
 
 def _chebyshev_sum(weights: list) -> list:
@@ -187,8 +188,6 @@ def _rational_form_quotient(boundary: Boundary, n: int) -> QPolynomial:
                 f" at factor {factor} of ({base} + x)^{power}"
             )
         del num[0]
-    while num and num[-1] == 0:  # the twisted numerator's top weight is 0
-        num.pop()
     if len(num) != n + 1 or num[n] != c:
         raise ExactDivisionError(
             f"{boundary.value} Q_{n} rational form: quotient is not monic of degree {n}"

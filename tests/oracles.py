@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from betheq.asmcounts import _as_int
+from betheq.asmcounts import _integer_product
 from betheq.bethe import GUARD_BITS, NonConvergenceError, RootSet
 from betheq.detlab import _check_square, det_exact
 from betheq.ed import (
@@ -379,11 +379,9 @@ def _invert(x):
 def asm_count_alt(n: int) -> int:
     """The same count via the double product prod (n+i+j-1)/(2i+j-1)
     over 1 <= i <= j <= n; agreement with asm_count is asserted in tests."""
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            out *= Fraction(n + i + j - 1, 2 * i + j - 1)
-    return _as_int(out, f"A({n}) (double product)")
+    return _integer_product(
+        ((n + i + j - 1, 2 * i + j - 1) for i in range(1, n + 1) for j in range(i, n + 1)),
+        f"A({n}) (double product)")
 
 
 # --- the variable change w <-> z --------------------------------------------

@@ -97,7 +97,8 @@ class TestGroundstateObservables:
     """ED runs without the Bethe energy as a hint, so each check also
     asserts that the Bethe state is the lowest one."""
 
-    @pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13])
+    # L = 15 and 17 run the periodic chain at the advertised limit
+    @pytest.mark.parametrize("L", [3, 5, 7, 9, 11, 13, 15, 17])
     def test_periodic_component_ratio_is_asm_count(self, L):
         n = (L - 1) // 2
         _, h = build_hamiltonian(L, Boundary.PERIODIC)
