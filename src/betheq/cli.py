@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every computation and verification is exposed as a scriptable subcommand
-with deterministic output.  Exact values are serialized as strings
-(rationals "p/q", cyclotomic {"a", "b"}) so the JSON round-trips
-losslessly; numeric values carry their precision and tolerance.
+with deterministic output, and this module is the only one that turns
+values into output.  Exact values print through ``str`` (rationals "p/q",
+cyclotomic {"a", "b"}) so the JSON round-trips losslessly; numeric values
+carry their precision and tolerance.
 
 Exit codes: 0 success / all verifications passed, 1 a verification failed
 or the output pipe closed, 2 usage error, 3 numeric non-convergence.
@@ -22,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from . import asmcounts, bethe, conjectures, ed, qfunctions, symfunc
-from .exact import rat_to_str
+from .exact import Cyclo
 from .qfunctions import Boundary
 
 EXIT_OK = 0
@@ -55,17 +56,39 @@ def _flatten(payload, prefix=""):
     return {prefix.rstrip("."): payload}
 
 
-def _mp_str(x) -> dict:
+def _value(v, tolerance):
+    """Exact values as strings (a Cyclo as {"a", "b"}); a numeric value to
+    30 digits, printed as its real part alone when its imaginary part is
+    rounding noise (|im v| <= tolerance |v|)."""
+    if isinstance(v, (tuple, list)):
+        return [_value(x, tolerance) for x in v]
+    if isinstance(v, Cyclo):
+        return {"a": str(v.a), "b": str(v.b)}
+    if isinstance(v, mpmath.mpc) and tolerance is not None and abs(v.imag) <= tolerance * abs(v):
+        v = v.real
+    if isinstance(v, (mpmath.mpf, mpmath.mpc)):
+        return mpmath.nstr(v, 30)
+    return str(v)
+
+
+def _report(r: conjectures.VerificationReport) -> dict:
+    """A report entry; csv and pretty print its keys in this order."""
     return {
-        "re": mpmath.nstr(mp.re(x), mp.dps),
-        "im": mpmath.nstr(mp.im(x), mp.dps),
+        "conjecture": r.conjecture,
+        "n": r.n,
+        "method": "exact" if r.tolerance is None else "numeric",
+        "lhs": _value(r.lhs, r.tolerance),
+        "rhs": _value(r.rhs, r.tolerance),
+        "equal": r.equal,
+        "precision_bits": r.precision_bits,
+        "tolerance": None if r.tolerance is None else mpmath.nstr(r.tolerance, 8),
     }
 
 
 def _cmd_qpoly(args) -> int:
     qp = qfunctions.elem_for(args.boundary, args.n)
     _emit({"boundary": qp.boundary.value, "n": qp.n,
-           "e": [rat_to_str(e) for e in qp.evalues]}, args.format)
+           "e": [str(e) for e in qp.evalues]}, args.format)
     return EXIT_OK
 
 
@@ -127,7 +150,7 @@ def _cmd_verify(args) -> int:
     for name in names:
         for n in ns:
             try:
-                entry = conjectures.VERIFIERS[name](n, args.precision).to_json()
+                entry = _report(conjectures.VERIFIERS[name](n, args.precision))
             except bethe.NonConvergenceError as exc:
                 print(f"error: {name} n={n}: {exc}", file=sys.stderr)
                 entry = _nonconvergence_json(name, n, exc)
@@ -152,7 +175,8 @@ def _cmd_roots(args) -> int:
             "n": rs.n,
             "L": rs.L,
             "precision_bits": rs.precision,
-            "roots": [dict(_mp_str(w), precision=rs.precision) for w in rs.roots],
+            "roots": [{"re": mpmath.nstr(mp.re(w), mp.dps), "im": mpmath.nstr(mp.im(w), mp.dps),
+                       "precision": rs.precision} for w in rs.roots],
             "residual": mpmath.nstr(rs.residual, 8),
             "iterations": rs.iterations,
             "certified_scale": rs.certified_scale,
@@ -198,7 +222,7 @@ def _cmd_schur(args) -> int:
     nvars = args.nvars if args.nvars is not None else len(evals) - 1
     table = symfunc.SymTable(evals, nvars)
     value = symfunc.schur_nk(symfunc.Partition(parts), table)
-    _emit({"partition": parts, "schur": rat_to_str(value)}, args.format)
+    _emit({"partition": parts, "schur": str(value)}, args.format)
     return EXIT_OK
 
 

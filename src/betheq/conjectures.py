@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 from mpmath import mp
 
 from . import bethe
 from .asmcounts import asm_count, asm_ht, asm_v, n8
-from .exact import QINV, Cyclo, rat_to_str
+from .exact import QINV, Cyclo
 from .qfunctions import (
     QPolynomial,
     check_recursion_periodic,
@@ -43,46 +42,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One verified identity: exact values compare by equality, numeric
-    ones by |lhs - rhs| <= tolerance * |rhs|."""
+    """One verified identity, as plain data (``cli`` prints it).  An exact
+    report has tolerance None and compares lhs and rhs by equality; a
+    numeric one carries its precision and compares by
+    |lhs - rhs| <= tolerance * |rhs|."""
 
     conjecture: str
     n: int
     lhs: object
     rhs: object
     equal: bool
-    method: str
     precision_bits: int | None = None
     tolerance: object = None
-
-    def to_json(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "n": self.n,
-            "method": self.method,
-            "lhs": _value_json(self.lhs, self.tolerance),
-            "rhs": _value_json(self.rhs, self.tolerance),
-            "equal": self.equal,
-            "precision_bits": self.precision_bits,
-            "tolerance": None if self.tolerance is None else mpmath.nstr(self.tolerance, 8),
-        }
-
-
-def _value_json(v, tolerance):
-    """Exact values as strings; a numeric value to 30 digits, printed as
-    its real part alone when its imaginary part is rounding noise
-    (|im v| <= tolerance |v|)."""
-    if isinstance(v, (tuple, list)):
-        return [_value_json(x, tolerance) for x in v]
-    if isinstance(v, Cyclo):
-        return v.to_json()
-    if isinstance(v, (int, Fraction)):
-        return rat_to_str(v)
-    if isinstance(v, mpmath.mpc) and tolerance is not None and abs(v.imag) <= tolerance * abs(v):
-        v = v.real
-    if isinstance(v, (mpmath.mpf, mpmath.mpc)):
-        return mpmath.nstr(v, 30)
-    return str(v)
 
 
 def groundstate_schur_det(qp: QPolynomial) -> Fraction:
@@ -120,7 +91,7 @@ def verify_periodic_product(n: int) -> VerificationReport:
     lhs = value.a if value.is_rational else value
     rhs = Fraction(asm_count(n)) ** 3
     return VerificationReport(
-        conjecture="conj", n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs, method="exact"
+        conjecture="conj", n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs
     )
 
 
@@ -129,7 +100,7 @@ def verify_twisted_product(n: int) -> VerificationReport:
     lhs = _double_product(elem_twisted(n))
     rhs = Cyclo(asm_count(n) * asm_ht(2 * n - 1)) * QINV ** (n - 1)
     return VerificationReport(
-        conjecture="conj1", n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs, method="exact"
+        conjecture="conj1", n=n, lhs=lhs, rhs=rhs, equal=lhs == rhs
     )
 
 
@@ -148,7 +119,6 @@ def _numeric_report(conjecture: str, n: int, precision: int, lhs, rhs) -> Verifi
         lhs=lhs,
         rhs=rhs,
         equal=equal,
-        method="numeric",
         precision_bits=precision,
         tolerance=tol,
     )
@@ -177,14 +147,14 @@ def verify_component_sums(n: int, precision: int = bethe.DEFAULT_PRECISION) -> V
 def _recursion(n: int, precision: int) -> VerificationReport:
     return VerificationReport(
         conjecture="recursion", n=n, lhs="poly", rhs="poly",
-        equal=check_recursion_periodic(n), method="exact")
+        equal=check_recursion_periodic(n))
 
 
 def _hyp(which: int, n: int) -> VerificationReport:
     failures = hyp_failures(which, n)
     return VerificationReport(
         conjecture=f"hyp{which}", n=n, lhs=[list(f) for f in failures], rhs=[],
-        equal=not failures, method="exact")
+        equal=not failures)
 
 
 # name -> callable(n, precision); 'verify all' runs them in this order.  Each

@@ -98,8 +98,10 @@ def build_hamiltonian(L: int, boundary):
     H = -1/2 sum_bonds (sx sx + sy sy + Delta sz sz) (+ twist phase on the
     wrap bond, or boundary z-fields for the reflecting chain).
 
-    Returns (basis, H) with H a `SectorMatrix`; twisted and reflecting H
-    are non-Hermitian but have real spectra.
+    Returns (basis, H) with H a `SectorMatrix`.  Periodic and twisted H are
+    Hermitian (the seam phases of a hop and its reverse are conjugate); the
+    reflecting H is not, since its boundary fields are imaginary, but its
+    spectrum is real.
 
     L runs to MAX_L, the largest size measured to work, from 1 for the
     reflecting chain and from 2 for closed chains (one site would close

@@ -2,7 +2,8 @@
 root of unity, and generalized binomials.  Polynomials are plain int
 coefficient lists where they are built (``qfunctions``).
 
-All arithmetic here is exact and pure Python.  Rationals are
+All arithmetic here is exact and pure Python, and nothing here formats
+output (``cli`` prints every value).  Rationals are
 ``fractions.Fraction`` (always in lowest terms, positive denominator).
 ``Cyclo`` elements are a + b*q with q^2 = q - 1, which is the minimal
 polynomial of q = exp(i*pi/3).
@@ -20,7 +21,6 @@ __all__ = [
     "gen_binom",
     "int_binom",
     "falling_binom",
-    "rat_to_str",
 ]
 
 
@@ -73,14 +73,6 @@ def gen_binom(a, k: int) -> Fraction:
             return Fraction(0)
         return Fraction(math.comb(n, k))
     return falling_binom(a, k)
-
-
-def rat_to_str(x) -> str:
-    """Serialize a rational (or int) as "p/q", or "p" when q = 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 class Cyclo:
@@ -178,9 +170,6 @@ class Cyclo:
 
     def __repr__(self):
         return f"Cyclo({self.a!r}, {self.b!r})"
-
-    def to_json(self) -> dict:
-        return {"a": rat_to_str(self.a), "b": rat_to_str(self.b)}
 
 
 QINV = Cyclo(1, -1)

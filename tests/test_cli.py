@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,19 @@ from mpmath import mp
 
 from betheq import asmcounts, bethe, cli, conjectures, ed
 from betheq.cli import EXIT_FAIL, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, run
+from betheq.exact import Cyclo
 from betheq.qfunctions import Boundary, QPolynomial
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-VERIFY_ALL_MAX_N_7 = Path(__file__).resolve().parent / "data" / "verify_all_max_n_7.json"
+DATA = Path(__file__).resolve().parent / "data"
+# `verify all` stdout as recorded, one file per format
+RECORDED_STDOUT = {
+    "json": (["verify", "all", "--max-n", "7"], DATA / "verify_all_max_n_7.json"),
+    "csv": (["--format", "csv", "verify", "all", "--max-n", "4"], DATA / "verify_all_max_n_4.csv"),
+    "pretty": (["--format", "pretty", "verify", "all", "--max-n", "4"],
+               DATA / "verify_all_max_n_4.txt"),
+}
 
 
 def run_capture(capsys, argv):
@@ -118,11 +127,12 @@ class TestVerify:
         assert data["equal"] is True
         assert len(data["reports"]) >= 7
 
-    def test_verify_all_is_byte_identical_to_the_recorded_stdout(self, capsys):
-        # every exact and numeric report up to n = 7, as printed
-        code, out = run_capture(capsys, ["verify", "all", "--max-n", "7"])
+    @pytest.mark.parametrize("argv, recorded", RECORDED_STDOUT.values(), ids=RECORDED_STDOUT)
+    def test_verify_all_is_byte_identical_to_the_recorded_stdout(self, capsys, argv, recorded):
+        # every exact and numeric report, as printed in each format
+        code, out = run_capture(capsys, argv)
         assert code == EXIT_OK
-        assert out.encode() == VERIFY_ALL_MAX_N_7.read_bytes()
+        assert out.encode() == recorded.read_bytes()
 
     def test_conj2_target_prints_exactly(self, capsys):
         code, out = run_capture(capsys, ["verify", "conj2", "--n", "7"])
@@ -281,6 +291,12 @@ class TestSchur:
 
 
 class TestFormats:
+    def test_nested_exact_values_print_as_lists(self):
+        # scalar forms are pinned in test_exact (TestRatStrings, TestCyclo)
+        assert cli._value(7, None) == "7"
+        assert cli._value((Fraction(1, 3), [2, Cyclo(4)]), None) == [
+            "1/3", ["2", {"a": "4", "b": "0"}]]
+
     def test_pretty(self, capsys):
         code, out = run_capture(
             capsys, ["--format", "pretty", "verify", "conj", "--n", "2"]
@@ -382,7 +398,7 @@ class TestExitCodes:
 
         def fake(n):
             return VerificationReport(
-                conjecture="conj", n=n, lhs=1, rhs=2, equal=False, method="exact"
+                conjecture="conj", n=n, lhs=1, rhs=2, equal=False
             )
 
         monkeypatch.setattr(conj, "verify_periodic_product", fake)

@@ -41,10 +41,12 @@ class TestBasis:
 
 
 class TestHamiltonian:
-    def test_periodic_is_hermitian(self):
-        _, h = build_hamiltonian(6, Boundary.PERIODIC)
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    def test_hermitian_unless_reflecting(self, boundary):
+        # the reflecting chain's boundary fields are imaginary
+        _, h = build_hamiltonian(6, boundary)
         h = toarray(h)
-        assert np.allclose(h, h.conj().T)
+        assert np.allclose(h, h.conj().T) == (boundary is not Boundary.REFLECTING)
 
     def test_twisted_spectrum_real(self):
         _, h = build_hamiltonian(6, Boundary.TWISTED)

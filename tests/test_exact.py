@@ -7,6 +7,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from betheq.cli import _value
 from betheq.exact import (
     Cyclo,
     ExactDivisionError,
@@ -14,7 +15,6 @@ from betheq.exact import (
     falling_binom,
     gen_binom,
     int_binom,
-    rat_to_str,
 )
 from oracles import Poly, Q, embed, poly_div_exact
 
@@ -59,13 +59,14 @@ class TestBinomials:
 
 
 class TestRatStrings:
+    # exact rationals print as "p/q", or "p" when q = 1
     def test_round_trip(self):
         for x in (Fraction(3), Fraction(-11, 5), Fraction(0)):
-            assert Fraction(rat_to_str(x)) == x
+            assert Fraction(_value(x, None)) == x
 
     def test_integer_form(self):
-        assert rat_to_str(Fraction(7)) == "7"
-        assert rat_to_str(Fraction(11, 5)) == "11/5"
+        assert _value(Fraction(7), None) == "7"
+        assert _value(Fraction(11, 5), None) == "11/5"
 
 
 class TestCyclo:
@@ -99,7 +100,7 @@ class TestCyclo:
 
     def test_json(self):
         x = Cyclo(Fraction(1, 2), -3)
-        assert x.to_json() == {"a": "1/2", "b": "-3"}
+        assert _value(x, None) == {"a": "1/2", "b": "-3"}
 
 
 class TestPoly:

@@ -3,9 +3,9 @@ itself; every name in a module's __all__ is used by another betheq
 module, by its own module outside its definition, or by the benchmark
 (perfbench/); every public method or property of a betheq class is read
 in betheq outside its own definition or by the benchmark; the exact
-layer imports neither mpmath nor numpy; and only the exact layer reads a
-rational's numerator or denominator.  Reference code that only the
-tests call lives in tests/oracles.py."""
+layer imports neither mpmath nor numpy; only the exact layer reads a
+rational's numerator or denominator; and only cli formats output.
+Reference code that only the tests call lives in tests/oracles.py."""
 
 import ast
 import importlib
@@ -135,6 +135,20 @@ def test_only_the_exact_layer_reads_rationals_apart():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr in ("numerator", "denominator"))
     assert reads == [], f"rationals taken apart outside the exact layer: {reads}"
+
+
+def test_only_cli_formats_output():
+    # cli turns every value into output; the other modules hand it plain
+    # data, so none of them serializes or defines to_json
+    trees = _modules()
+    owners = sorted(
+        {f"{module} imports {name}" for module, tree in trees.items() if module != "cli"
+         for name in _imports(tree) if name.partition(".")[0] in ("json", "csv")}
+        | {f"{module}.{node.name} defines to_json" for module, tree in trees.items()
+           for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+           for item in node.body
+           if isinstance(item, ast.FunctionDef) and item.name == "to_json"})
+    assert owners == [], f"output formatted outside cli: {owners}"
 
 
 def test_package_exports_nothing():
