@@ -285,6 +285,10 @@ def run(argv=None) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
+    # exact values print in full: A_n^3 has more than the default 4300
+    # digits from n = 113 on
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         # looked up at call time, so a patched or traced _cmd_* still runs
         return globals()["_cmd_" + args.command](args)
@@ -294,6 +298,8 @@ def run(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .exact import Cyclo, ExactDivisionError, int_binom
+from .exact import ExactDivisionError, int_binom
 
 __all__ = [
     "Boundary",
@@ -253,15 +253,15 @@ def check_recursion_periodic(n: int) -> bool:
     return lhs == rhs
 
 
-def q_at_qinv(qp: QPolynomial) -> Cyclo:
-    """q^{2n} Q_n(1/q) = sum_k c_k q^{2n-k} over the coefficients c_k of
-    D Q_n, divided by D, exactly in Q(q): q^6 = 1, so the c_k are summed by
-    2n - k mod 6 and q^0..q^5 = 1, q, q - 1, -1, -q, 1 - q."""
+def q_at_qinv(qp: QPolynomial) -> tuple:
+    """The int pair (A, B) with q^{2n} Q_n(1/q) = (A + B q) / D, D = ints[n].
+    D q^{2n} Q_n(1/q) = sum_k c_k q^{2n-k} over the coefficients c_k of
+    D Q_n, and q^6 = 1, so the c_k are summed by 2n - k mod 6 and
+    q^0..q^5 = 1, q, q - 1, -1, -q, 1 - q."""
     s = [0] * 6
     for k, c in enumerate(qp.ints):
         s[(2 * qp.n - k) % 6] += c
-    d = qp.ints[qp.n]
-    return Cyclo(Fraction(s[0] - s[2] - s[3] + s[5], d), Fraction(s[1] + s[2] - s[4] - s[5], d))
+    return s[0] - s[2] - s[3] + s[5], s[1] + s[2] - s[4] - s[5]
 
 
 def _hyp_sides(which: int, n: int):

@@ -707,10 +707,11 @@ def check_special_values(n: int) -> bool:
     qp = elem_periodic(n)
     if Poly(monic_coeffs(qp))(Fraction(0)) != (-1) ** n:
         return False
-    s = q_at_qinv(qp)
-    if not s.is_rational or s.a != qinv_product_value(n):
+    a, b = q_at_qinv(qp)
+    s = Fraction(a, qp.ints[n])
+    if b != 0 or s != qinv_product_value(n):
         return False
-    lhs = Fraction(3) ** n / s.a ** 2
+    lhs = Fraction(3) ** n / s ** 2
     rhs = Fraction(3, 4) ** n
     for j in range(1, n + 1):
         rhs *= Fraction(3 * j - 1, 2 * j - 1) ** 2

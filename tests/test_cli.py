@@ -37,6 +37,19 @@ def run_capture(capsys, argv):
 
 
 class TestAsm:
+    def test_prints_every_digit(self, capsys):
+        # A_200 has more digits than Python's default int-to-str limit of
+        # 4300; run lifts the limit for its output and restores it after
+        limit = sys.get_int_max_str_digits()
+        code, out = run_capture(capsys, ["asm", "count", "--n", "200"])
+        assert code == EXIT_OK and sys.get_int_max_str_digits() == limit
+        assert len(out.strip()) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(out) == asmcounts.asm_count(200)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_count_prints_bare_integer(self, capsys):
         code, out = run_capture(capsys, ["asm", "count", "--n", "5"])
         assert code == EXIT_OK

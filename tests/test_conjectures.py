@@ -45,8 +45,9 @@ class TestDoubleProductKernel:
         (Boundary.TWISTED, twisted_prefactor),
     ])
     def test_prefactor_matches_transcribed_form(self, monkeypatch, boundary, reference):
-        # with the Schur factor set to 1 the kernel returns its prefactor
-        monkeypatch.setattr(conjectures, "groundstate_schur_det", lambda qp: 1)
+        # with the Schur factor set to 1, M = D^{2(n-1)}, the kernel returns its prefactor
+        monkeypatch.setattr(conjectures, "_scaled_schur_dd",
+                            lambda ints: ints[-1] ** (2 * (len(ints) - 2)))
         for n in range(1, 31):
             assert conjectures._double_product(elem_for(boundary, n)) == reference(n), n
 
@@ -69,6 +70,75 @@ class TestDoubleProductKernel:
         assert cli._report(rep)["lhs"] == {"a": "343", "b": "1"}
         assert cli.run(["verify", "conj", "--n", "3"]) == cli.EXIT_FAIL
         assert json.loads(capsys.readouterr().out)["equal"] is False
+
+
+def cube_root_of_unity(p):
+    """A primitive cube root of unity mod a prime p = 1 (mod 6)."""
+    return next(w for w in (pow(g, (p - 1) // 3, p) for g in range(2, p)) if w != 1)
+
+
+class TestModularSchur:
+    """The resultant kernel against the Naegelsbach-Kostka determinant."""
+
+    @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.TWISTED])
+    def test_equals_schur_det(self, boundary):
+        for n in range(1, 31):
+            qp = elem_for(boundary, n)
+            scale = qp.ints[n] ** (2 * (n - 1))
+            assert Fraction(conjectures._scaled_schur_dd(qp.ints), scale) \
+                == groundstate_schur_det(qp), n
+
+    @pytest.mark.parametrize("boundary, n, bad", [
+        # the prime divides the coefficient of w^(n-1), so P - Pt drops degree
+        (Boundary.PERIODIC, 8, 4177),
+        (Boundary.TWISTED, 6, 109),
+        # the degree-1 remainder of the sequence is a constant mod the prime
+        (Boundary.PERIODIC, 5, 109),
+        (Boundary.TWISTED, 5, 13),
+    ])
+    def test_prime_with_vanishing_leading_coefficient_is_dropped(self, boundary, n, bad):
+        qp = elem_for(boundary, n)
+        bound = sum(c * c for c in qp.ints) ** (n - 1)
+        primes = [(bad, cube_root_of_unity(bad))] + conjectures._primes(
+            (2 * bound).bit_length() // 30 + 1)
+        residues, kept = conjectures._schur_dd_residues(qp.ints, primes)
+        assert bad not in kept and len(kept) == len(primes) - 1
+        scale = qp.ints[n] ** (2 * (n - 1))
+        assert Fraction(conjectures._crt(residues, kept, bound), scale) == groundstate_schur_det(qp)
+
+    @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.TWISTED])
+    def test_one_prime_short_of_the_bound_raises(self, boundary):
+        qp = elem_for(boundary, 12)
+        bound = sum(c * c for c in qp.ints) ** 11
+        primes, modulus = [], 1
+        for p, omega in conjectures._primes(1000):
+            primes.append((p, omega))
+            modulus *= p
+            if modulus > 2 * bound:
+                break
+        residues, kept = conjectures._schur_dd_residues(qp.ints, primes)
+        assert len(kept) == len(primes)
+        assert conjectures._crt(residues, kept, bound) == conjectures._scaled_schur_dd(qp.ints)
+        with pytest.raises(conjectures.ModulusError) as info:
+            conjectures._crt(residues[:-1], kept[:-1], bound)
+        err = info.value
+        assert isinstance(err, ArithmeticError)
+        assert err.primes == len(primes) - 1
+        assert err.modulus_bits <= err.bound_bits + 1 == bound.bit_length() + 1
+
+    @pytest.mark.parametrize("which, n, value", [
+        ("conj", 59, lambda n: Cyclo(asm_count(n) ** 3)),
+        ("conj1", 61, lambda n: Cyclo(asm_count(n) * asm_ht(2 * n - 1)) * QINV ** (n - 1)),
+    ])
+    def test_at_the_determinant_reach(self, capsys, which, n, value):
+        # the Bareiss determinant took 5-10 s a call here (its 10 s reach
+        # was n = 58-63, by host); the resultant takes about 0.1 s
+        assert cli.run(["verify", which, "--n", str(n)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["equal"] is True and report["precision_bits"] is None
+        want = value(n)
+        assert report["lhs"] == report["rhs"] == (
+            str(want.a) if which == "conj" else {"a": str(want.a), "b": str(want.b)})
 
 
 class TestRegistry:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from betheq import qfunctions
-from betheq.exact import ExactDivisionError, QINV, falling_binom, gen_binom
+from betheq.exact import QINV, Cyclo, ExactDivisionError, falling_binom, gen_binom
 from betheq.qfunctions import (
     Boundary,
     QPolynomial,
@@ -315,16 +315,20 @@ class TestSpecialValues:
 
     def test_value_at_qinv_is_rational(self):
         for n in range(1, 8):
-            s = q_at_qinv(elem_periodic(n))
-            assert s.is_rational
-            assert s.a == qinv_product_value(n)
+            qp = elem_periodic(n)
+            a, b = q_at_qinv(qp)
+            assert b == 0
+            assert Fraction(a, qp.ints[n]) == qinv_product_value(n)
 
     @pytest.mark.parametrize("boundary", list(Boundary))
     def test_value_at_qinv_matches_horner(self, boundary):
         # reference: Horner's rule for Q_n at 1/q, times q^{2n}
         for n in range(1, 13):
             qp = elem_for(boundary, n)
-            assert q_at_qinv(qp) == Q ** (2 * n) * Poly(monic_coeffs(qp))(QINV)
+            a, b = q_at_qinv(qp)
+            d = qp.ints[n]
+            want = Q ** (2 * n) * Poly(monic_coeffs(qp))(QINV)
+            assert Cyclo(Fraction(a, d), Fraction(b, d)) == want
 
     def test_qinv_product_small(self):
         assert qinv_product_value(1) == Fraction(1)
