@@ -10,10 +10,15 @@ with dim = C(L, n), not dim^2.
 Everything here is double precision and plain numpy on purpose.  The
 module only cross-checks the exact and high-precision paths; it is never
 the source of truth, and staying dependency-light keeps it honest as an
-independent oracle.
+independent oracle.  The one random draw, the Arnoldi start vector, comes
+from the standard library's `random.Random`, whose sequence Python keeps
+across releases (NumPy's policy, NEP 19, leaves its Generator streams free
+to change); so no betheq module loads numpy.random.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -30,7 +35,7 @@ __all__ = [
 ]
 
 # largest L measured to work; see build_hamiltonian.  The periodic
-# component ratio is A_n to a relative 5.3e-11 at L = 15 and 3.5e-9 at
+# component ratio is A_n to a relative 3.0e-11 at L = 15 and 2.3e-9 at
 # L = 17 (see rs_observables)
 MAX_L = 18
 DELTA = -0.5
@@ -71,19 +76,21 @@ class SpinBasis:
 
 
 class SectorMatrix:
-    """Sparse complex square matrix from (row, col, value) triplets;
-    repeated positions add up.  It offers `shape`, `@` on a vector
-    and its infinity norm `norm_inf`."""
+    """Sparse complex square matrix from (row, col, value) triplets,
+    stored sorted by row and then column.  Repeated positions (only the
+    L = 2 closed chains have them) add up in the order given: one stable
+    argsort of the keys row * dim + col, then one np.add.reduceat of the
+    values over each run of equal keys.  It offers `shape`, `@` on a
+    vector and its infinity norm `norm_inf`."""
 
     def __init__(self, dim: int, rows, cols, values):
         self.shape = (dim, dim)
-        keys, where = np.unique(
-            np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64),
-            return_inverse=True)
-        values = np.asarray(values, dtype=complex)
-        self.rows, self.cols = np.divmod(keys, dim)
-        self.values = (np.bincount(where, values.real, len(keys))
-                       + 1j * np.bincount(where, values.imag, len(keys)))
+        keys = np.asarray(rows, dtype=np.int64) * dim + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        self.rows, self.cols = np.divmod(keys[first], dim)
+        self.values = np.add.reduceat(np.asarray(values, dtype=complex)[order], first)
         self.norm_inf = float(np.bincount(self.rows, np.abs(self.values), dim).max())
 
     def __matmul__(self, x):
@@ -109,9 +116,9 @@ def build_hamiltonian(L: int, boundary):
     `groundstate` without a hint, in a fresh process with one BLAS thread
     on a shared 2-vCPU host, took (peak process RSS, of which about 33 MB
     is the interpreter with numpy and betheq loaded):
-    reflecting L = 16 (dim 12870) 0.4 s, 66 MB;
-    periodic L = 17 (dim 24310) 0.5 s, 90 MB;
-    reflecting L = 18 (dim 48620) 2.1 s, 137 MB.
+    reflecting L = 16 (dim 12870) 0.4 s, 62 MB;
+    periodic L = 17 (dim 24310) 0.6 s, 87 MB;
+    reflecting L = 18 (dim 48620) 2.4 s, 133 MB.
     """
     boundary = Boundary(boundary)
     closed = boundary is not Boundary.REFLECTING
@@ -169,10 +176,13 @@ def groundstate(h, shift_hint=None):
     """Eigenpair with the lowest real eigenvalue part of a `SectorMatrix`.
 
     Explicitly restarted Arnoldi from a fixed-seed random vector, which
-    no symmetry sector is orthogonal to: each restart builds a Krylov
-    basis of KRYLOV_DIM vectors (fewer when dim is smaller) from the
-    current vector, diagonalizes the small Hessenberg matrix, and restarts from
-    the Ritz vector with the lowest real part, or the one nearest
+    no symmetry sector is orthogonal to: the 2 dim draws rng.random() - 0.5
+    of rng = random.Random(0), the first dim as real parts and the rest as
+    imaginary parts (the standard library keeps this sequence across
+    Python releases, see the module docstring).  Each restart builds a
+    Krylov basis of KRYLOV_DIM vectors (fewer when dim is smaller) from
+    the current vector, diagonalizes the small Hessenberg matrix, and
+    restarts from the Ritz vector with the lowest real part, or the one nearest
     shift_hint when a hint (e.g. the Bethe energy) is given.  It stops
     once ||H v - lambda v|| <= ARNOLDI_TOL ||H||_inf for the unit vector v
     and its Rayleigh quotient lambda (non-strict, so an exact eigenvector
@@ -181,8 +191,9 @@ def groundstate(h, shift_hint=None):
     smallest-modulus component is exactly 1.
     """
     dim = h.shape[0]
-    rng = np.random.default_rng(0)
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    rng = random.Random(0)
+    draws = np.fromiter((rng.random() - 0.5 for _ in range(2 * dim)), float, 2 * dim)
+    vec = draws[:dim] + 1j * draws[dim:]
     vec /= np.linalg.norm(vec)
     bound = ARNOLDI_TOL * h.norm_inf
     residual = np.inf
@@ -215,7 +226,7 @@ def rs_observables(vec):
 
     On the periodic groundstate of `groundstate` the ratio is A_n to a
     relative error that grows with L, as the smallest component is about
-    1/A_n of the largest: 5.3e-11 at L = 15 and 3.5e-9 at L = 17.
+    1/A_n of the largest: 3.0e-11 at L = 15 and 2.3e-9 at L = 17.
     """
     mags = np.abs(vec)
     return {

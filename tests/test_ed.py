@@ -1,5 +1,10 @@
 """Exact diagonalization oracle vs the exact/high-precision pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -189,6 +194,17 @@ class TestArnoldi:
         hinted_val, hinted_vec = groundstate(h, shift_hint=eb.real)
         assert abs(val - hinted_val) < 1e-12
         assert same_up_to_scale(hinted_vec, vec) < 1e-10
+
+    def test_diag_loads_no_numpy_random(self):
+        # a fresh interpreter: another test may have loaded numpy.random here
+        code = ("import sys\n"
+                "from betheq import cli\n"
+                "assert cli.run(['diag', '--L', '6', '--boundary', 'reflecting']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(ed.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_forced_nonconvergence(self, monkeypatch):
         _, h = build_hamiltonian(6, Boundary.REFLECTING)

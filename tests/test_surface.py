@@ -3,8 +3,9 @@ itself; every name in a module's __all__ is used by another betheq
 module, by its own module outside its definition, or by the benchmark
 (perfbench/); every public method or property of a betheq class is read
 in betheq outside its own definition or by the benchmark; the exact
-layer imports neither mpmath nor numpy; only the exact layer reads a
-rational's numerator or denominator; and only cli formats output.
+layer imports neither mpmath nor numpy; no module uses numpy.random;
+only the exact layer reads a rational's numerator or denominator; and
+only cli formats output.
 Reference code that only the tests call lives in tests/oracles.py."""
 
 import ast
@@ -122,6 +123,27 @@ def test_exact_layer_imports_no_mpmath_or_numpy():
         if name.partition(".")[0] in ("mpmath", "numpy")
         or (name.startswith(".") and name[1:] not in EXACT_LAYER))
     assert leaks == [], f"the exact layer reaches floating point: {leaks}"
+
+
+def test_no_module_uses_numpy_random():
+    # ed draws its start vector from random.Random, whose sequence Python
+    # keeps across releases (NumPy's Generator streams may change), and
+    # importing numpy.random costs about 6 MB and 15 ms
+    def uses(node):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.Import):
+            return any(alias.name.startswith("numpy.random") for alias in node.names)
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            return node.module.startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        return False
+
+    trees = _modules()
+    found = sorted(f"{module} at line {node.lineno}"
+                   for module, tree in trees.items() for node in ast.walk(tree) if uses(node))
+    assert found == [], f"numpy.random used: {found}"
 
 
 def test_only_the_exact_layer_reads_rationals_apart():
